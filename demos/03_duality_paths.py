@@ -44,10 +44,11 @@ print(f"max interval-score difference:        {score_diff:.2e}")
 # The closed-form projection equals exhaustive vertex enumeration: take the
 # first object's standardized score bounds and try all 2^4 corners.
 bundle = standardize(table)
-root_m = np.sqrt(bundle.m)
+m, n = bundle.z.shape
+root_m = np.sqrt(m)
 row = [
     Interval(bundle.bounds.low[0, j] * root_m, bundle.bounds.high[0, j] * root_m)
-    for j in range(bundle.n)
+    for j in range(n)
 ]
 oracle = vertex_extremes(row, via_small.loadings_u[:, 0])
 closed = (via_small.scores.lo[0, 0], via_small.scores.hi[0, 0])

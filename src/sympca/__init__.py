@@ -17,12 +17,7 @@ from .intervals import (
     interval_project,
     vertex_extremes,
 )
-from .linalg import (
-    EigenDecomposition,
-    dual_u_from_v,
-    dual_v_from_u,
-    eigen_sym,
-)
+from .linalg import EigenDecomposition, dual_transport, eigen_sym
 from .pca import (
     PcaResult,
     StandardizedBundle,
@@ -64,8 +59,7 @@ __all__ = [
     "benchmark_paths",
     "centers_matrix",
     "clamp_correlations",
-    "dual_u_from_v",
-    "dual_v_from_u",
+    "dual_transport",
     "eigen_sym",
     "flip_component",
     "interval_project",

@@ -118,12 +118,6 @@ class BoundsPair:
     def transposed(self) -> "BoundsPair":
         return BoundsPair(self.low.T, self.high.T)
 
-    def scaled(self, factor: float) -> "BoundsPair":
-        """Scale both bounds by a positive factor."""
-        if factor <= 0:
-            raise DataError(f"scale factor must be positive, got {factor}")
-        return BoundsPair(self.low * factor, self.high * factor)
-
 
 def _check_labels(labels, axis: str) -> tuple[str, ...]:
     out = tuple(str(name) for name in labels)
@@ -181,18 +175,6 @@ class IntervalMatrix:
 
     def cell(self, i: int, j: int) -> Interval:
         return Interval(self.lo[i, j], self.hi[i, j])
-
-    def row(self, i: int) -> list[Interval]:
-        return [self.cell(i, j) for j in range(len(self.cols))]
-
-    def column(self, j: int) -> list[Interval]:
-        return [self.cell(i, j) for i in range(len(self.rows))]
-
-    def col_index(self, name: str) -> int:
-        try:
-            return self.cols.index(name)
-        except ValueError:
-            raise DataError(f"no column named {name!r}") from None
 
     def without_columns(self, names: Sequence[str]) -> "IntervalMatrix":
         """Drop the named columns; unknown names are an error."""

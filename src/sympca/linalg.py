@@ -1,29 +1,20 @@
-"""Deterministic symmetric eigensolver and eigenvector-family transports.
+"""Symmetric eigensolver and the duality transport between eigenvector families.
 
 For a data matrix Z, the products Z·Zt (m x m) and Zt·Z (n x n) share their
-positive eigenvalues; an eigenvector of one product maps to the matching
-eigenvector of the other through ``dual_u_from_v`` / ``dual_v_from_u``.
-Whichever product is smaller can therefore be decomposed, with the other
-family recovered at the cost of a matrix-vector product per component.
+positive eigenvalues; eigenvectors V of Z·Zt map to the matching eigenvectors
+U = Zt·V / sqrt(lam) of Zt·Z through ``dual_transport``, and passing Zt maps
+U back to V = Z·U / sqrt(lam). Whichever product is smaller can therefore be
+decomposed, with the other family recovered by one matrix product.
 
-``eigen_sym`` is a cyclic Jacobi rotation solver: it sweeps the strict
-upper triangle in row-major order, annihilating one off-diagonal entry per
-rotation, until the off-diagonal Frobenius norm falls below ``tol`` times
-the (rotation-invariant) Frobenius norm of the input. Jacobi is slower than
-tridiagonalization-based methods but is simple, respects symmetry exactly,
-and is bit-deterministic: identical input yields identical output. Above
-``JACOBI_SIZE_LIMIT`` the solver delegates to LAPACK (``numpy.linalg.eigh``)
-with identical ordering and sign conventions, keeping large decompositions
-tractable; pass ``method="jacobi"`` to force the rotation path at any size.
-
-Eigenpairs are returned sorted by descending eigenvalue, each eigenvector
-oriented so its entry of largest magnitude is positive (ties broken by the
-lowest index).
+``eigen_sym`` calls LAPACK (``numpy.linalg.eigh``) at every size. Eigenpairs
+are returned sorted by descending eigenvalue, each eigenvector oriented so
+its entry of largest magnitude is positive; entries within a relative 1e-12
+of that magnitude count as tied, and ties are broken by the lowest index.
+Repeat runs on the same machine and BLAS build are byte-identical.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,20 +24,21 @@ from .errors import DataError, NumericError
 __all__ = [
     "EigenDecomposition",
     "eigen_sym",
-    "dual_u_from_v",
-    "dual_v_from_u",
-    "JACOBI_SIZE_LIMIT",
+    "dual_transport",
     "DEFAULT_RANK_TOL",
 ]
-
-# Largest dimension solved by cyclic Jacobi under method="auto".
-JACOBI_SIZE_LIMIT = 64
 
 # An eigenvalue counts as strictly positive when above this fraction
 # of the largest eigenvalue.
 DEFAULT_RANK_TOL = 1e-10
 
-_MAX_SWEEPS = 100
+# Eigenvector entries this close (relative) to the largest magnitude tie for
+# the sign pivot, so rounding noise cannot pick among equal entries.
+_SIGN_TIE_RTOL = 1e-12
+
+# Eigenvalues at or below this are null-space directions the transport
+# cannot cross.
+_NULL_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,97 +48,36 @@ class EigenDecomposition:
 
     values: np.ndarray
     vectors: np.ndarray
-    rank_tol: float = DEFAULT_RANK_TOL
 
     @property
     def positive_count(self) -> int:
-        """Number of eigenvalues treated as strictly positive."""
+        """Number of eigenvalues above ``DEFAULT_RANK_TOL`` times the largest."""
         if self.values.size == 0 or self.values[0] <= 0:
             return 0
-        return int(np.sum(self.values > self.rank_tol * self.values[0]))
-
-
-def _jacobi(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi sweeps on a symmetric matrix; returns (values, vectors)."""
-    n = a.shape[0]
-    v = np.eye(n)
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return np.zeros(n), v
-    upper = np.triu_indices(n, k=1)
-    for _ in range(_MAX_SWEEPS):
-        off = math.sqrt(2.0 * float(np.sum(a[upper] ** 2)))
-        if off <= tol * fro:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(a[p, q])
-                if apq == 0.0:
-                    continue
-                app = float(a[p, p])
-                aqq = float(a[q, q])
-                theta = (aqq - app) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    # asymptotic root; avoids overflow in theta**2
-                    t = 0.5 / theta
-                else:
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * vec_q
-                v[:, q] = s * vec_p + c * vec_q
-    raise NumericError(
-        f"Jacobi eigensolver did not converge within {_MAX_SWEEPS} sweeps"
-    )
+        return int(np.sum(self.values > DEFAULT_RANK_TOL * self.values[0]))
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    for k in range(vectors.shape[1]):
-        pivot = int(np.argmax(np.abs(vectors[:, k])))
-        if vectors[pivot, k] < 0:
-            vectors[:, k] = -vectors[:, k]
-    return vectors
+    if vectors.size == 0:
+        return vectors
+    mags = np.abs(vectors)
+    tied = mags >= mags.max(axis=0) * (1.0 - _SIGN_TIE_RTOL)
+    pivots = np.argmax(tied, axis=0)
+    pivot_values = vectors[pivots, np.arange(vectors.shape[1])]
+    return vectors * np.where(pivot_values < 0, -1.0, 1.0)
 
 
-def eigen_sym(
-    a: np.ndarray,
-    tol: float = 1e-12,
-    method: str = "auto",
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> EigenDecomposition:
-    """Full spectral decomposition of a symmetric matrix.
+def eigen_sym(a: np.ndarray) -> EigenDecomposition:
+    """Full spectral decomposition of a square symmetric matrix.
 
-    Parameters
-    ----------
-    a : square symmetric matrix (asymmetry above 1e-12 relative is an error).
-    tol : Jacobi stopping threshold on the off-diagonal Frobenius norm,
-        relative to the Frobenius norm of the input.
-    method : "auto" (Jacobi up to ``JACOBI_SIZE_LIMIT``, LAPACK beyond),
-        "jacobi", or "lapack".
-    rank_tol : relative cutoff defining strictly positive eigenvalues.
+    Asymmetry above 1e-12 relative to the largest entry is a DataError; a
+    LAPACK failure is a NumericError.
     """
     mat = np.asarray(a, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DataError(f"matrix must be square, got shape {mat.shape}")
     if mat.size and not np.all(np.isfinite(mat)):
         raise DataError("matrix contains non-finite entries")
-    n = mat.shape[0]
     scale = float(np.abs(mat).max()) if mat.size else 0.0
     asym = float(np.abs(mat - mat.T).max()) if mat.size else 0.0
     if asym > 1e-12 * scale:
@@ -154,58 +85,34 @@ def eigen_sym(
             f"matrix is not symmetric: max asymmetry {asym:.3e} "
             f"exceeds 1e-12 relative"
         )
-    sym = (mat + mat.T) / 2.0
-
-    if method not in ("auto", "jacobi", "lapack"):
-        raise DataError(f"unknown eigensolver method {method!r}")
-    use_jacobi = method == "jacobi" or (method == "auto" and n <= JACOBI_SIZE_LIMIT)
-    if use_jacobi:
-        values, vectors = _jacobi(sym.copy(), tol)
-    else:
-        try:
-            values, vectors = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigendecomposition failed: {exc}") from None
+    try:
+        values, vectors = np.linalg.eigh((mat + mat.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from None
 
     order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = _canonical_signs(vectors[:, order])
-    return EigenDecomposition(values, vectors, rank_tol)
+    return EigenDecomposition(values[order], _canonical_signs(vectors[:, order]))
 
 
-def dual_u_from_v(z: np.ndarray, v: np.ndarray, lam: float, tol: float = 1e-12) -> np.ndarray:
-    """Map an eigenvector v of Z·Zt (eigenvalue lam) to the matching
-    eigenvector Zt·v / sqrt(lam) of Zt·Z.
+def dual_transport(z: np.ndarray, vectors: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Map eigenvectors of Z·Zt (columns of ``vectors``, eigenvalues ``lam``)
+    to the matching eigenvectors Zt·vectors / sqrt(lam) of Zt·Z.
 
-    The result is a unit vector (within roundoff) whenever (lam, v) is a
-    true eigenpair with lam > 0. A lam at or below ``tol`` means the
+    Pass ``z.T`` to map eigenvectors of Zt·Z back to Z·Zt. The columns come
+    out unit-length (within roundoff) whenever each (lam_k, vectors[:, k])
+    is a true eigenpair with lam_k > 0. A lam_k at or below 1e-12 means the
     direction lies in the null space, which the transport cannot cross.
     """
     z = np.asarray(z, dtype=float)
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size != z.shape[0]:
+    vectors = np.asarray(vectors, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    if vectors.shape[0] != z.shape[0]:
         raise DataError(
-            f"vector length {v.size} does not match row count {z.shape[0]}"
+            f"vector length {vectors.shape[0]} does not match row count {z.shape[0]}"
         )
-    if lam <= tol:
+    if np.any(lam <= _NULL_TOL):
         raise NumericError(
-            f"eigenvalue {lam!r} is at or below tolerance {tol!r}: "
-            "rank-deficient direction"
+            f"eigenvalue {float(lam.min())!r} is at or below tolerance "
+            f"{_NULL_TOL!r}: rank-deficient direction"
         )
-    return (z.T @ v) / math.sqrt(lam)
-
-
-def dual_v_from_u(z: np.ndarray, u: np.ndarray, lam: float, tol: float = 1e-12) -> np.ndarray:
-    """Mirror transport: eigenvector u of Zt·Z maps to Z·u / sqrt(lam)."""
-    z = np.asarray(z, dtype=float)
-    u = np.asarray(u, dtype=float).ravel()
-    if u.size != z.shape[1]:
-        raise DataError(
-            f"vector length {u.size} does not match column count {z.shape[1]}"
-        )
-    if lam <= tol:
-        raise NumericError(
-            f"eigenvalue {lam!r} is at or below tolerance {tol!r}: "
-            "rank-deficient direction"
-        )
-    return (z @ u) / math.sqrt(lam)
+    return z.T @ vectors / np.sqrt(lam)

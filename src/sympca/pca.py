@@ -3,8 +3,9 @@
 The pipeline: take the midpoint of every interval cell, standardize the
 midpoint matrix to Z (zero-mean, unit-norm columns, so Zt·Z is the midpoint
 correlation matrix), and eigendecompose either Z·Zt (``pca_zzt``) or Zt·Z
-(``pca_ztz``). Each path solves one eigenproblem and recovers the other
-eigenvector family by the duality transports, then projects the interval
+(``pca_ztz``). Each path solves one eigenproblem with ``eigen_sym`` and
+recovers the other eigenvector family with one ``dual_transport`` call
+(U = Zt·V / sqrt(lam), or V = Z·U / sqrt(lam)), then projects the interval
 bounds onto the appropriate family with the signed-weight rule:
 
 * interval scores of the objects come from projecting object rows onto the
@@ -13,8 +14,9 @@ bounds onto the appropriate family with the signed-weight rule:
   columns of Z's bounds onto the object-side eigenvectors V.
 
 ``pca_auto`` picks whichever path has the smaller eigenproblem. Both paths
-agree on every output up to roundoff; midpoint (classical) scores and
-correlations always fall inside their interval counterparts.
+agree on every output up to roundoff and per-component sign; midpoint
+(classical) scores and correlations always fall inside their interval
+counterparts.
 
 Interval correlations are stored raw. Hypercube vertices can leave the unit
 ball, so an endpoint can exceed 1 in magnitude; ``clamp_correlations``
@@ -31,12 +33,7 @@ import numpy as np
 
 from .errors import DataError
 from .intervals import BoundsPair, IntervalMatrix, interval_project
-from .linalg import (
-    EigenDecomposition,
-    dual_u_from_v,
-    dual_v_from_u,
-    eigen_sym,
-)
+from .linalg import EigenDecomposition, dual_transport, eigen_sym
 
 __all__ = [
     "StandardizedBundle",
@@ -70,8 +67,6 @@ class StandardizedBundle:
     bounds: BoundsPair
     col_means: np.ndarray
     col_stds: np.ndarray
-    m: int
-    n: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,18 +104,21 @@ def standardize(x: IntervalMatrix) -> StandardizedBundle:
 
     Raises DataError when m < 2 or a midpoint column is constant.
     """
-    m, n = x.shape
+    m = x.shape[0]
     if m < 2:
         raise DataError(f"need at least 2 rows to standardize, got {m}")
     mids = centers_matrix(x)
     means = mids.mean(axis=0)
     stds = mids.std(axis=0)
-    for j in range(n):
-        if stds[j] == 0.0 or mids[:, j].min() == mids[:, j].max():
-            raise DataError(
-                f"column {x.cols[j]!r} is constant (zero variance); "
-                "it cannot be standardized"
-            )
+    # The range test catches constant columns whose std rounds to a tiny
+    # non-zero value.
+    constant = (stds == 0.0) | (np.ptp(mids, axis=0) == 0.0)
+    if np.any(constant):
+        j = int(np.argmax(constant))
+        raise DataError(
+            f"column {x.cols[j]!r} is constant (zero variance); "
+            "it cannot be standardized"
+        )
     scale = 1.0 / (math.sqrt(m) * stds)
     z = (mids - means) * scale
     low = (x.lo - means) * scale
@@ -130,8 +128,6 @@ def standardize(x: IntervalMatrix) -> StandardizedBundle:
         bounds=BoundsPair(low, high),
         col_means=means,
         col_stds=stds,
-        m=m,
-        n=n,
     )
 
 
@@ -161,12 +157,13 @@ def _assemble(
     pcs = _component_labels(lam.size)
     # Scores live in the unit-variance scale of the data: project the
     # centered-reduced bounds, i.e. sqrt(m) times the unit-norm ones.
-    score_bounds = bundle.bounds.scaled(math.sqrt(bundle.m))
+    root_m = math.sqrt(bundle.z.shape[0])
+    score_bounds = BoundsPair(bundle.bounds.low * root_m, bundle.bounds.high * root_m)
     scores = interval_project(score_bounds, u, rows=x.rows, cols=pcs)
     correlations = interval_project(
         bundle.bounds.transposed, v, rows=x.cols, cols=pcs
     )
-    center_scores = (math.sqrt(bundle.m) * bundle.z) @ u
+    center_scores = (root_m * bundle.z) @ u
     center_correlations = bundle.z.T @ v
     return PcaResult(
         eigenvalues=lam,
@@ -184,17 +181,15 @@ def pca_zzt(x: IntervalMatrix, q: int | None = None) -> PcaResult:
     """Interval PCA solving the m x m eigenproblem of Z·Zt.
 
     The object-side eigenvectors V come straight from the decomposition;
-    the variable-side family U is recovered per component by the duality
-    transport Zt·v / sqrt(lam).
+    the variable-side family U is recovered by the duality transport
+    Zt·V / sqrt(lam).
     """
     bundle = standardize(x)
     eig = eigen_sym(bundle.z @ bundle.z.T)
     q = _resolve_q(eig, q)
     lam = eig.values[:q].copy()
     v = eig.vectors[:, :q].copy()
-    u = np.column_stack(
-        [dual_u_from_v(bundle.z, v[:, k], lam[k]) for k in range(q)]
-    )
+    u = dual_transport(bundle.z, v, lam)
     return _assemble(x, bundle, lam, u, v, "zzt")
 
 
@@ -202,16 +197,14 @@ def pca_ztz(x: IntervalMatrix, q: int | None = None) -> PcaResult:
     """Interval PCA solving the n x n eigenproblem of Zt·Z.
 
     Mirror of ``pca_zzt``: U is solved directly, V is recovered by the
-    transport Z·u / sqrt(lam).
+    transport Z·U / sqrt(lam).
     """
     bundle = standardize(x)
     eig = eigen_sym(bundle.z.T @ bundle.z)
     q = _resolve_q(eig, q)
     lam = eig.values[:q].copy()
     u = eig.vectors[:, :q].copy()
-    v = np.column_stack(
-        [dual_v_from_u(bundle.z, u[:, k], lam[k]) for k in range(q)]
-    )
+    v = dual_transport(bundle.z.T, u, lam)
     return _assemble(x, bundle, lam, u, v, "ztz")
 
 

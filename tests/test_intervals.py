@@ -46,7 +46,6 @@ class TestIntervalMatrix:
         t = IntervalMatrix(("a", "b"), ("x",), [[0.0], [1.0]], [[0.5], [2.0]])
         assert t.shape == (2, 1)
         assert t.cell(1, 0) == Interval(1.0, 2.0)
-        assert t.column(0) == [Interval(0.0, 0.5), Interval(1.0, 2.0)]
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DataError, match="duplicate row label"):

@@ -6,10 +6,11 @@ import pytest
 from sympca import (
     DataError,
     NumericError,
-    dual_u_from_v,
-    dual_v_from_u,
+    dual_transport,
     eigen_sym,
     load_oils_table,
+    pca_ztz,
+    pca_zzt,
     standardize,
 )
 
@@ -39,7 +40,7 @@ class TestEigenSym:
         assert eig.values.sum() == pytest.approx(4.0, abs=1e-9)
         assert np.all(eig.values > 0)
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 10, 25, 50])
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 25, 50, 80])
     def test_invariants_random(self, n):
         rng = np.random.default_rng(n)
         a = _random_symmetric(rng, n)
@@ -51,6 +52,9 @@ class TestEigenSym:
         assert np.all(np.diff(eig.values) <= 0)
         recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
         assert np.linalg.norm(recon - a) <= 1e-9 * np.linalg.norm(a)
+        for k in range(n):
+            pivot = np.argmax(np.abs(eig.vectors[:, k]))
+            assert eig.vectors[pivot, k] > 0
 
     def test_sign_rule(self):
         rng = np.random.default_rng(0)
@@ -67,29 +71,25 @@ class TestEigenSym:
         assert np.array_equal(e1.values, e2.values)
         assert np.array_equal(e1.vectors, e2.vectors)
 
-    def test_methods_agree(self):
-        rng = np.random.default_rng(4)
-        a = _random_symmetric(rng, 20)
-        jac = eigen_sym(a, method="jacobi")
-        lap = eigen_sym(a, method="lapack")
-        assert np.abs(jac.values - lap.values).max() <= 1e-12 * max(1.0, np.abs(a).max())
-        recon_j = jac.vectors @ np.diag(jac.values) @ jac.vectors.T
-        recon_l = lap.vectors @ np.diag(lap.values) @ lap.vectors.T
-        assert np.abs(recon_j - recon_l).max() <= 1e-11
-
-    def test_large_input_delegates_but_honors_contract(self):
-        rng = np.random.default_rng(11)
-        a = _random_symmetric(rng, 80)
-        eig = eigen_sym(a)  # auto: above the Jacobi size limit
-        assert np.abs(eig.vectors.T @ eig.vectors - np.eye(80)).max() <= 1e-10
-        assert np.all(np.diff(eig.values) <= 0)
-        for k in range(80):
-            pivot = np.argmax(np.abs(eig.vectors[:, k]))
-            assert eig.vectors[pivot, k] > 0
+    def test_sign_ties_break_at_lowest_index(self, corpus):
+        # With two rows every entry of a retained solved eigenvector has the
+        # same magnitude, so the first entry is the pivot and must be positive.
+        two_row = [t for t in corpus if t.shape[0] == 2]
+        assert two_row
+        for table in two_row:
+            for solved in (pca_zzt(table).axes_v, pca_ztz(table).loadings_u):
+                mags = np.abs(solved)
+                assert np.all(mags.max(axis=0) - mags.min(axis=0) <= 1e-12)
+                assert np.all(solved[0] > 0)
 
     def test_zero_matrix(self):
         eig = eigen_sym(np.zeros((3, 3)))
         assert np.all(eig.values == 0)
+        assert eig.positive_count == 0
+
+    def test_empty_matrix(self):
+        eig = eigen_sym(np.zeros((0, 0)))
+        assert eig.values.shape == (0,) and eig.vectors.shape == (0, 0)
         assert eig.positive_count == 0
 
     def test_positive_count_uses_relative_cutoff(self):
@@ -104,47 +104,44 @@ class TestEigenSym:
         with pytest.raises(DataError, match="square"):
             eigen_sym(np.zeros((2, 3)))
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(DataError, match="unknown eigensolver"):
-            eigen_sym(np.eye(2), method="qr")
-
 
 class TestDualityTransports:
     def test_identity_examples(self):
-        z = np.eye(2)
-        assert np.allclose(dual_u_from_v(z, [1.0, 0.0], 1.0), [1.0, 0.0])
-        assert np.allclose(dual_v_from_u(z, [0.0, 1.0], 1.0), [0.0, 1.0])
+        z = np.diag([4.0, 1.0])
+        v = np.eye(2)
+        lam = np.array([16.0, 1.0])
+        assert np.allclose(dual_transport(z, v, lam), np.eye(2))
+        assert np.allclose(dual_transport(z.T, v, lam), np.eye(2))
 
     def test_transport_matches_independent_decomposition(self, oils):
         z = standardize(oils).z
         big = eigen_sym(z @ z.T)
         small = eigen_sym(z.T @ z)
         q = small.positive_count
-        for k in range(q):
-            u = dual_u_from_v(z, big.vectors[:, k], big.values[k])
-            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-9)
-            # same direction up to sign as the directly solved eigenvector
-            assert abs(abs(u @ small.vectors[:, k]) - 1.0) <= 1e-9
+        u = dual_transport(z, big.vectors[:, :q], big.values[:q])
+        assert np.linalg.norm(u, axis=0) == pytest.approx(np.ones(q), abs=1e-9)
+        # same directions up to sign as the directly solved eigenvectors
+        cosines = np.sum(u * small.vectors[:, :q], axis=0)
+        assert np.abs(np.abs(cosines) - 1.0).max() <= 1e-9
 
     def test_round_trip_recovers_v(self, oils):
         z = standardize(oils).z
         big = eigen_sym(z @ z.T)
-        for k in range(4):
-            v = big.vectors[:, k]
-            lam = big.values[k]
-            back = dual_v_from_u(z, dual_u_from_v(z, v, lam), lam)
-            assert np.abs(back - v).max() <= 1e-9
+        v = big.vectors[:, :4]
+        lam = big.values[:4]
+        back = dual_transport(z.T, dual_transport(z, v, lam), lam)
+        assert np.abs(back - v).max() <= 1e-9
 
     def test_null_space_guarded(self):
         z = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(NumericError, match="rank-deficient"):
-            dual_u_from_v(z, [0.0, 1.0], 0.0)
+            dual_transport(z, np.eye(2), np.array([1.0, 0.0]))
         with pytest.raises(NumericError, match="rank-deficient"):
-            dual_v_from_u(z, [0.0, 1.0], 1e-15)
+            dual_transport(z.T, np.eye(2)[:, 1:], np.array([1e-15]))
 
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="length"):
-            dual_u_from_v(np.eye(3), [1.0, 0.0], 1.0)
+            dual_transport(np.eye(3), np.eye(2), np.ones(2))
 
     @pytest.mark.parametrize("shape", [(3, 7), (7, 3), (20, 20), (50, 50), (50, 12)])
     def test_spectrum_duality(self, shape):
