@@ -8,7 +8,8 @@ Subcommands:
   bench        time the two eigenproblem routes on synthetic tables
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Errors print a one-line diagnostic, never a stack trace.
+An unexpected exception also exits 3, reported as "internal error". Errors
+print a one-line diagnostic, never a stack trace.
 """
 
 from __future__ import annotations
@@ -251,7 +252,7 @@ def run(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # contract: one-line diagnostic, never a trace
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: internal error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

@@ -58,13 +58,15 @@ class EigenDecomposition:
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
+    """Per-column factor of -1 or 1 that makes each column's sign pivot,
+    its lowest-index entry of (tied) largest magnitude, positive."""
     if vectors.size == 0:
-        return vectors
+        return np.ones(vectors.shape[1])
     mags = np.abs(vectors)
     tied = mags >= mags.max(axis=0) * (1.0 - _SIGN_TIE_RTOL)
     pivots = np.argmax(tied, axis=0)
     pivot_values = vectors[pivots, np.arange(vectors.shape[1])]
-    return vectors * np.where(pivot_values < 0, -1.0, 1.0)
+    return np.where(pivot_values < 0, -1.0, 1.0)
 
 
 def eigen_sym(a: np.ndarray) -> EigenDecomposition:
@@ -91,7 +93,8 @@ def eigen_sym(a: np.ndarray) -> EigenDecomposition:
         raise NumericError(f"eigendecomposition failed: {exc}") from None
 
     order = np.argsort(-values, kind="stable")
-    return EigenDecomposition(values[order], _canonical_signs(vectors[:, order]))
+    vectors = vectors[:, order]
+    return EigenDecomposition(values[order], vectors * _canonical_signs(vectors))
 
 
 def dual_transport(z: np.ndarray, vectors: np.ndarray, lam: np.ndarray) -> np.ndarray:

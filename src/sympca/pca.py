@@ -14,7 +14,8 @@ bounds onto the appropriate family with the signed-weight rule:
   columns of Z's bounds onto the object-side eigenvectors V.
 
 ``pca_auto`` picks whichever path has the smaller eigenproblem. Both paths
-agree on every output up to roundoff and per-component sign; midpoint
+orient each component by the canonical sign rule applied to U, so they
+agree on every output up to roundoff (for separated eigenvalues); midpoint
 (classical) scores and correlations always fall inside their interval
 counterparts.
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import DataError
 from .intervals import BoundsPair, IntervalMatrix, interval_project
-from .linalg import EigenDecomposition, dual_transport, eigen_sym
+from .linalg import EigenDecomposition, _canonical_signs, dual_transport, eigen_sym
 
 __all__ = [
     "StandardizedBundle",
@@ -182,7 +183,7 @@ def pca_zzt(x: IntervalMatrix, q: int | None = None) -> PcaResult:
 
     The object-side eigenvectors V come straight from the decomposition;
     the variable-side family U is recovered by the duality transport
-    Zt·V / sqrt(lam).
+    Zt·V / sqrt(lam). Components are oriented by U, as in ``pca_ztz``.
     """
     bundle = standardize(x)
     eig = eigen_sym(bundle.z @ bundle.z.T)
@@ -190,7 +191,10 @@ def pca_zzt(x: IntervalMatrix, q: int | None = None) -> PcaResult:
     lam = eig.values[:q].copy()
     v = eig.vectors[:, :q].copy()
     u = dual_transport(bundle.z, v, lam)
-    return _assemble(x, bundle, lam, u, v, "zzt")
+    # Orient each component by the sign rule on U, as ``pca_ztz``'s solved U
+    # is, and flip V alongside so each column pair stays a transport pair.
+    signs = _canonical_signs(u)
+    return _assemble(x, bundle, lam, u * signs, v * signs, "zzt")
 
 
 def pca_ztz(x: IntervalMatrix, q: int | None = None) -> PcaResult:

@@ -12,6 +12,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -40,6 +41,18 @@ def _parse_number(text: str, where: str) -> float:
     return value
 
 
+def _check_bounds(texts: tuple[str, str], where: str) -> None:
+    if _parse_number(texts[0], where) > _parse_number(texts[1], where):
+        raise DataError(f"lower bound exceeds upper bound at {where}")
+
+
+def _check_bracket_cell(cell: str, where: str) -> None:
+    match = _CELL_RE.match(cell)
+    if match is None:
+        raise DataError(f"malformed interval cell {cell!r} at {where}")
+    _check_bounds(match.groups(), where)
+
+
 def _read_records(text: str) -> list[list[str]]:
     reader = csv.reader(io.StringIO(text, newline=""))
     records = [row for row in reader if row]
@@ -55,15 +68,69 @@ def _split_header(records: list[list[str]]) -> tuple[list[str], list[list[str]]]
     return header[1:], records[1:]
 
 
+def _is_rectangular(body: list[list[str]], width: int) -> bool:
+    return all(len(record) == width for record in body)
+
+
+def _finite_floats(texts: list[str]) -> np.ndarray | None:
+    """Convert every text with Python ``float()`` syntax; None when any text
+    is malformed or converts to a non-finite value."""
+    try:
+        values = np.fromiter(map(float, texts), float, count=len(texts))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _ordered_bounds(
+    texts: list[str], rows: int, lo_idx: Sequence[int], hi_idx: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Gather a row-major grid of bound texts into lo/hi arrays by column
+    index; None when a text is not a finite number or some lo exceeds hi."""
+    values = _finite_floats(texts)
+    if values is None:
+        return None
+    grid = values.reshape(rows, len(lo_idx) + len(hi_idx))
+    # take() keeps lo/hi row-major: column reductions downstream then add in
+    # the same order, and give the same bits, as on a cell-by-cell fill.
+    lo, hi = grid.take(lo_idx, axis=1), grid.take(hi_idx, axis=1)
+    return (lo, hi) if (lo <= hi).all() else None
+
+
+def _raise_first_error(
+    body: list[list[str]],
+    width: int,
+    cells: Callable[[list[str]], Iterable[tuple[str, Any]]],
+    check: Callable[[Any, str], object],
+) -> NoReturn:
+    """Walk the records in order and raise the first error: a ragged row,
+    else the first of its ``(column, cell)`` pairs that ``check`` rejects.
+
+    Runs only after the bulk pass has rejected the table, so that the
+    message names the same cell, in the same words, as a cell-by-cell parse.
+    """
+    for record in body:
+        if len(record) != width:
+            raise DataError(
+                f"ragged row {record[0]!r}: expected {width} fields, "
+                f"got {len(record)}"
+            )
+        for column, cell in cells(record):
+            check(cell, f"(row {record[0]!r}, column {column!r})")
+    raise AssertionError("bulk parse rejected a table every cell check accepts")
+
+
 def parse_interval_csv(text: str) -> IntervalMatrix:
     """Parse an interval table from CSV text.
 
     The header row names the columns; the first column of every record is
     the row label. Cells are ``[lo,hi]`` brackets, or plain numbers under a
-    paired ``name.lo`` / ``name.hi`` header layout.
+    paired ``name.lo`` / ``name.hi`` header layout. Numbers use Python
+    ``float()`` syntax.
 
     Raises DataError for malformed cells (with row/column position),
-    inverted bounds, ragged rows, or duplicate labels.
+    inverted bounds, ragged rows, or duplicate labels; the message names the
+    first bad cell in record order.
     """
     names, body = _split_header(_read_records(text))
     if all(_PAIR_RE.match(n) for n in names) and names:
@@ -72,29 +139,22 @@ def parse_interval_csv(text: str) -> IntervalMatrix:
 
 
 def _parse_bracketed(cols: list[str], body: list[list[str]]) -> IntervalMatrix:
-    row_labels: list[str] = []
-    lo = np.zeros((len(body), len(cols)))
-    hi = np.zeros((len(body), len(cols)))
-    for i, record in enumerate(body):
-        if len(record) != len(cols) + 1:
-            raise DataError(
-                f"ragged row {record[0]!r}: expected {len(cols) + 1} fields, "
-                f"got {len(record)}"
+    width = len(cols) + 1
+    bounds = None
+    if _is_rectangular(body, width):
+        matches = [_CELL_RE.match(cell) for record in body for cell in record[1:]]
+        if None not in matches:
+            texts = [text for match in matches for text in match.groups()]
+            per_row = 2 * len(cols)
+            bounds = _ordered_bounds(
+                texts, len(body), range(0, per_row, 2), range(1, per_row, 2)
             )
-        label = record[0]
-        row_labels.append(label)
-        for j, cell in enumerate(record[1:]):
-            where = f"(row {label!r}, column {cols[j]!r})"
-            match = _CELL_RE.match(cell)
-            if match is None:
-                raise DataError(f"malformed interval cell {cell!r} at {where}")
-            a = _parse_number(match.group(1), where)
-            b = _parse_number(match.group(2), where)
-            if a > b:
-                raise DataError(f"lower bound exceeds upper bound at {where}")
-            lo[i, j] = a
-            hi[i, j] = b
-    return IntervalMatrix(tuple(row_labels), tuple(cols), lo, hi)
+    if bounds is None:
+        _raise_first_error(
+            body, width, lambda record: zip(cols, record[1:]), _check_bracket_cell
+        )
+    rows = tuple(record[0] for record in body)
+    return IntervalMatrix(rows, tuple(cols), *bounds)
 
 
 def _parse_paired(names: list[str], body: list[list[str]]) -> IntervalMatrix:
@@ -111,44 +171,41 @@ def _parse_paired(names: list[str], body: list[list[str]]) -> IntervalMatrix:
     for base in bases:
         if set(slots[base]) != {"lo", "hi"}:
             raise DataError(f"incomplete bound pair for column {base!r}")
-    row_labels: list[str] = []
-    lo = np.zeros((len(body), len(bases)))
-    hi = np.zeros((len(body), len(bases)))
-    for i, record in enumerate(body):
-        if len(record) != len(names) + 1:
-            raise DataError(
-                f"ragged row {record[0]!r}: expected {len(names) + 1} fields, "
-                f"got {len(record)}"
-            )
-        label = record[0]
-        row_labels.append(label)
-        for j, base in enumerate(bases):
-            where = f"(row {label!r}, column {base!r})"
-            a = _parse_number(record[1 + slots[base]["lo"]], where)
-            b = _parse_number(record[1 + slots[base]["hi"]], where)
-            if a > b:
-                raise DataError(f"lower bound exceeds upper bound at {where}")
-            lo[i, j] = a
-            hi[i, j] = b
-    return IntervalMatrix(tuple(row_labels), tuple(bases), lo, hi)
-
-
-def _format_number(x: float) -> str:
-    # repr of a float is the shortest string that parses back exactly
-    return repr(float(x))
+    lo_idx = [slots[base]["lo"] for base in bases]
+    hi_idx = [slots[base]["hi"] for base in bases]
+    width = len(names) + 1
+    bounds = None
+    if _is_rectangular(body, width):
+        texts = [cell for record in body for cell in record[1:]]
+        bounds = _ordered_bounds(texts, len(body), lo_idx, hi_idx)
+    if bounds is None:
+        _raise_first_error(
+            body,
+            width,
+            lambda record: (
+                (base, (record[1 + a], record[1 + b]))
+                for base, a, b in zip(bases, lo_idx, hi_idx)
+            ),
+            _check_bounds,
+        )
+    rows = tuple(record[0] for record in body)
+    return IntervalMatrix(rows, tuple(bases), *bounds)
 
 
 def write_interval_csv(table: IntervalMatrix) -> str:
     """Serialize to the bracket-cell CSV grammar; reparsing is exact."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + list(table.cols))
-    for i, label in enumerate(table.rows):
-        cells = [
-            f"[{_format_number(table.lo[i, j])},{_format_number(table.hi[i, j])}]"
-            for j in range(len(table.cols))
-        ]
-        writer.writerow([label] + cells)
+    plain = csv.writer(out, lineterminator="\n")
+    # With an LF terminator csv quotes a field holding "\n" but not a bare
+    # "\r", which a reader takes for a line end; a record with one is
+    # written fully quoted.
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    header = ["", *table.cols]
+    (quoted if any("\r" in name for name in header) else plain).writerow(header)
+    # repr of a float is the shortest string that parses back exactly
+    for label, lows, highs in zip(table.rows, table.lo.tolist(), table.hi.tolist()):
+        cells = [f"[{a!r},{b!r}]" for a, b in zip(lows, highs)]
+        (quoted if "\r" in label else plain).writerow([label, *cells])
     return out.getvalue()
 
 
@@ -198,31 +255,31 @@ def parse_classic_csv(text: str, concept: str | None = None) -> ClassicTable:
         if concept not in names:
             raise DataError(f"concept column {concept!r} not found")
         concept_idx = names.index(concept)
-    data_cols = [n for j, n in enumerate(names) if j != concept_idx]
-    row_labels: list[str] = []
-    concept_labels: list[str] = []
-    values = np.zeros((len(body), len(data_cols)))
-    for i, record in enumerate(body):
-        if len(record) != len(names) + 1:
-            raise DataError(
-                f"ragged row {record[0]!r}: expected {len(names) + 1} fields, "
-                f"got {len(record)}"
-            )
-        row_labels.append(record[0])
-        k = 0
-        for j, cell in enumerate(record[1:]):
-            if j == concept_idx:
-                concept_labels.append(cell.strip())
-                continue
-            where = f"(row {record[0]!r}, column {names[j]!r})"
-            values[i, k] = _parse_number(cell, where)
-            k += 1
+    data_idx = [j for j in range(len(names)) if j != concept_idx]
+    width = len(names) + 1
+    values = None
+    if _is_rectangular(body, width):
+        values = _finite_floats(
+            [record[1 + j] for record in body for j in data_idx]
+        )
+    if values is None:
+        _raise_first_error(
+            body,
+            width,
+            lambda record: ((names[j], record[1 + j]) for j in data_idx),
+            _parse_number,
+        )
+    concept_labels = (
+        tuple(record[1 + concept_idx].strip() for record in body)
+        if concept_idx is not None
+        else ()
+    )
     return ClassicTable(
-        tuple(row_labels),
-        tuple(data_cols),
-        values,
+        tuple(record[0] for record in body),
+        tuple(names[j] for j in data_idx),
+        values.reshape(len(body), len(data_idx)),
         concept=concept,
-        concept_labels=tuple(concept_labels) if concept else (),
+        concept_labels=concept_labels,
     )
 
 
@@ -253,18 +310,15 @@ def aggregate_classic(table: ClassicTable, concept_col: str) -> IntervalMatrix:
     else:
         raise DataError(f"concept column {concept_col!r} not found")
 
-    order: list[str] = []
-    members: dict[str, list[int]] = {}
-    for i, key in enumerate(group_keys):
-        if key not in members:
-            order.append(key)
-            members[key] = []
-        members[key].append(i)
-
-    lo = np.zeros((len(order), len(data_cols)))
-    hi = np.zeros((len(order), len(data_cols)))
-    for g, key in enumerate(order):
-        block = data[members[key], :]
-        lo[g] = block.min(axis=0)
-        hi[g] = block.max(axis=0)
-    return IntervalMatrix(tuple(order), tuple(data_cols), lo, hi)
+    index: dict[str, int] = {}
+    group = np.fromiter(
+        (index.setdefault(key, len(index)) for key in group_keys),
+        np.intp,
+        count=len(group_keys),
+    )
+    # A stable sort keeps each group's rows contiguous and in input order.
+    by_group = data[np.argsort(group, kind="stable")]
+    starts = np.concatenate(([0], np.cumsum(np.bincount(group))[:-1]))
+    lo = np.minimum.reduceat(by_group, starts, axis=0)
+    hi = np.maximum.reduceat(by_group, starts, axis=0)
+    return IntervalMatrix(tuple(index), tuple(data_cols), lo, hi)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from sympca import IntervalMatrix, PcaResult, flip_component
+from sympca import IntervalMatrix
 
 # ---------------------------------------------------------------------------
 # Reference outputs for the bundled oils-and-fats table (PC1..PC4), quoted at
@@ -85,18 +85,6 @@ def aligned_matrix_error(values: np.ndarray, ref: np.ndarray) -> float:
         flipped = np.abs(values[:, k] + ref[:, k]).max()
         worst = max(worst, min(direct, flipped))
     return worst
-
-
-def align_to(result: PcaResult, reference: PcaResult) -> PcaResult:
-    """Flip components of ``result`` so its loadings match ``reference``'s
-    orientation; used before comparing the two analysis paths."""
-    aligned = result
-    for k in range(result.eigenvalues.size):
-        direct = np.abs(result.loadings_u[:, k] - reference.loadings_u[:, k]).max()
-        flipped = np.abs(result.loadings_u[:, k] + reference.loadings_u[:, k]).max()
-        if flipped < direct:
-            aligned = flip_component(aligned, k)
-    return aligned
 
 
 def interval_tables_close(

@@ -6,7 +6,6 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from helpers import aligned_matrix_error
 from sympca import NumericError, load_oils_table, parse_interval_csv, write_interval_csv
 from sympca.cli import RunConfig, main, run
 
@@ -68,7 +67,7 @@ class TestPcaCommand:
         )
         assert corr.lo.min() >= -1.0 and corr.hi.max() <= 1.0
 
-    def test_methods_match_up_to_sign(self, oils_csv, tmp_path):
+    def test_methods_match(self, oils_csv, tmp_path):
         outputs = {}
         for method in ("zzt", "ztz"):
             out = tmp_path / f"{method}.json"
@@ -83,7 +82,12 @@ class TestPcaCommand:
         assert np.allclose(a["eigenvalues"], b["eigenvalues"], atol=1e-9)
         ca = np.array(a["center_scores"]["values"])
         cb = np.array(b["center_scores"]["values"])
-        assert aligned_matrix_error(ca, cb) <= 1e-9
+        assert np.abs(ca - cb).max() <= 1e-9
+        for table in ("scores", "correlations"):
+            for side in ("lo", "hi"):
+                ga = np.array(a[table][side])
+                gb = np.array(b[table][side])
+                assert np.abs(ga - gb).max() <= 1e-9
 
     def test_no_clamp_flag(self, oils_csv, tmp_path):
         out = tmp_path / "raw.json"
@@ -194,6 +198,21 @@ class TestExitCodes:
         ])
         assert code == 3
         assert "synthetic" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_3_internal_error(
+        self, monkeypatch, oils_csv, tmp_path, capsys
+    ):
+        import sympca.cli as cli_mod
+
+        def boom(table, q=None):
+            raise RuntimeError("synthetic bug")
+
+        monkeypatch.setitem(cli_mod._run_pca.__globals__, "pca_auto", boom)
+        code = main([
+            "pca", "--input", str(oils_csv), "--output", str(tmp_path / "o.json"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == "error: internal error: synthetic bug\n"
 
     def test_run_rejects_unknown_command(self, capsys):
         assert run(RunConfig(command="explode")) == 1

@@ -72,12 +72,18 @@ class TestEigenSym:
         assert np.array_equal(e1.vectors, e2.vectors)
 
     def test_sign_ties_break_at_lowest_index(self, corpus):
-        # With two rows every entry of a retained solved eigenvector has the
-        # same magnitude, so the first entry is the pivot and must be positive.
+        # With two rows every entry of an eigenvector of Z·Zt, and of a
+        # retained U, has the same magnitude, so the first entry is the
+        # pivot and must be positive; both routes orient by U.
         two_row = [t for t in corpus if t.shape[0] == 2]
         assert two_row
         for table in two_row:
-            for solved in (pca_zzt(table).axes_v, pca_ztz(table).loadings_u):
+            z = standardize(table).z
+            for solved in (
+                eigen_sym(z @ z.T).vectors,
+                pca_zzt(table).loadings_u,
+                pca_ztz(table).loadings_u,
+            ):
                 mags = np.abs(solved)
                 assert np.all(mags.max(axis=0) - mags.min(axis=0) <= 1e-12)
                 assert np.all(solved[0] > 0)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympca import (
     ClassicTable,
@@ -13,6 +15,7 @@ from sympca import (
     parse_interval_csv,
     write_interval_csv,
 )
+from sympca.tableio import _PAIR_RE
 
 
 class TestParseIntervalCsv:
@@ -99,6 +102,15 @@ class TestWriteIntervalCsv:
         t = IntervalMatrix(("r",), ("a",), [[3.0]], [[3.0]])
         assert '"[3.0,3.0]"' in write_interval_csv(t)
 
+    @pytest.mark.parametrize(
+        "rows,cols",
+        [((), ("\r",)), ((), ("\r0",)), ((), ("", "\r")), (("a\rb", "c"), ("x\r\ny",))],
+    )
+    def test_round_trip_carriage_return_labels(self, rows, cols):
+        grid = np.arange(len(rows) * len(cols), dtype=float).reshape(len(rows), len(cols))
+        t = IntervalMatrix(rows, cols, grid, grid + 1.0)
+        assert parse_interval_csv(write_interval_csv(t)) == t
+
     def test_lf_line_endings(self):
         t = IntervalMatrix(("r",), ("a",), [[0.0]], [[1.0]])
         out = write_interval_csv(t)
@@ -124,6 +136,24 @@ class TestParseClassicCsv:
     def test_missing_concept(self):
         with pytest.raises(DataError, match="not found"):
             parse_classic_csv(",a\nr,1\n", concept="state")
+
+
+def _aggregate_by_loop(table, concept_col):
+    """Reference: one fancy-indexed block per group, in first-appearance order."""
+    if table.concept == concept_col:
+        keys, data_cols, data = table.concept_labels, table.cols, table.values
+    else:
+        j = table.cols.index(concept_col)
+        keys = [repr(float(v)).removesuffix(".0") for v in table.values[:, j]]
+        keep = [k for k in range(len(table.cols)) if k != j]
+        data_cols = tuple(table.cols[k] for k in keep)
+        data = table.values[:, keep]
+    members: dict[str, list[int]] = {}
+    for i, key in enumerate(keys):
+        members.setdefault(key, []).append(i)
+    lo = np.array([data[rows].min(axis=0) for rows in members.values()])
+    hi = np.array([data[rows].max(axis=0) for rows in members.values()])
+    return tuple(members), tuple(data_cols), lo, hi
 
 
 class TestAggregateClassic:
@@ -190,7 +220,167 @@ class TestAggregateClassic:
         with pytest.raises(DataError, match="not found"):
             aggregate_classic(self._table(), "nope")
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_group_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 60))
+        values = rng.normal(size=(m, 4))
+        values[:, 0] = rng.integers(0, 7, m)  # numeric concept column
+        keys = tuple(f"g{k}" for k in rng.integers(0, 9, m))
+        t = ClassicTable(
+            tuple(map(str, range(m))), ("k", "x", "y", "z"), values,
+            concept="g", concept_labels=keys,
+        )
+        for concept in ("g", "k"):
+            got = aggregate_classic(t, concept)
+            rows, cols, lo, hi = _aggregate_by_loop(t, concept)
+            assert got.rows == rows and got.cols == cols
+            assert np.array_equal(got.lo, lo) and np.array_equal(got.hi, hi)
+
+    def test_single_row_groups_match_loop(self):
+        t = ClassicTable(
+            ("1", "2", "3"), ("x",), np.array([[2.0], [-1.0], [5.0]]),
+            concept="g", concept_labels=("b", "a", "b"),
+        )
+        got = aggregate_classic(t, "g")
+        rows, cols, lo, hi = _aggregate_by_loop(t, "g")
+        assert got.rows == rows == ("b", "a")
+        assert np.array_equal(got.lo, lo) and np.array_equal(got.hi, hi)
+
     def test_empty_input(self):
         empty = ClassicTable(rows=(), cols=("x",), values=np.zeros((0, 1)))
         with pytest.raises(DataError, match="empty"):
             aggregate_classic(empty, "x")
+
+
+# Each message is what a cell-by-cell parse raises: the first bad cell in
+# record order wins, and within a record a ragged length comes first.
+INTERVAL_ERRORS = [
+    (',a,b\nr,"[1,2]",oops\n',
+     "malformed interval cell 'oops' at (row 'r', column 'b')"),
+    (',a\nr,"[1,x]"\n', "malformed number 'x' at (row 'r', column 'a')"),
+    (',a\nr,"[nan,2]"\n', "non-finite number 'nan' at (row 'r', column 'a')"),
+    (',a\nr,"[1,inf]"\n', "non-finite number 'inf' at (row 'r', column 'a')"),
+    (',a\nr,"[0,1e999]"\n', "non-finite number '1e999' at (row 'r', column 'a')"),
+    (',a\nr,"[2,1]"\n', "lower bound exceeds upper bound at (row 'r', column 'a')"),
+    (',a\nr,"[x,nan]"\n', "malformed number 'x' at (row 'r', column 'a')"),
+    (',a\nr,"[nan,x]"\n', "non-finite number 'nan' at (row 'r', column 'a')"),
+    (',a,b\nr,"[2,1]",bad\n',
+     "lower bound exceeds upper bound at (row 'r', column 'a')"),
+    (',a\nr,"[1,2]"\nr2,"[-inf,0]"\n',
+     "non-finite number '-inf' at (row 'r2', column 'a')"),
+    (',a,b\nr1,"[1,2]",bad\nr2,"[1,2]"\n',
+     "malformed interval cell 'bad' at (row 'r1', column 'b')"),
+    (',a,b\nr1,"[1,2]"\nr2,"[1,2]",bad\n', "ragged row 'r1': expected 3 fields, got 2"),
+    (',a\n"r,1",bad\n', "malformed interval cell 'bad' at (row 'r,1', column 'a')"),
+    (',a\n"say ""hi""","[1,-1]"\n',
+     "lower bound exceeds upper bound at (row 'say \"hi\"', column 'a')"),
+    (',a\nÖl,"[1,2,3]"\n', "malformed interval cell '[1,2,3]' at (row 'Öl', column 'a')"),
+    (",x.lo,x.hi\nr,0,abc\n", "malformed number 'abc' at (row 'r', column 'x')"),
+    (",x.lo,x.hi\nr,nan,1\n", "non-finite number 'nan' at (row 'r', column 'x')"),
+    (",x.lo,x.hi\nr,3,1\n", "lower bound exceeds upper bound at (row 'r', column 'x')"),
+    (",x.hi,x.lo\nr,1,2\n", "lower bound exceeds upper bound at (row 'r', column 'x')"),
+    (",x.lo,x.hi\nr,0\n", "ragged row 'r': expected 3 fields, got 2"),
+    (",x.lo,x.hi,y.lo,y.hi\nr1,0,1,2,bad\nr2,0,1\n",
+     "malformed number 'bad' at (row 'r1', column 'y')"),
+    (",x.lo,x.hi,y.lo,y.hi\nr1,0,1,2,1e999\n",
+     "non-finite number '1e999' at (row 'r1', column 'y')"),
+]
+
+CLASSIC_ERRORS = [
+    (",a\nr,hello\n", None, "malformed number 'hello' at (row 'r', column 'a')"),
+    (",a\nr,nan\n", None, "non-finite number 'nan' at (row 'r', column 'a')"),
+    (",a,b\nr,1,-inf\n", None, "non-finite number '-inf' at (row 'r', column 'b')"),
+    (",a\nr,1e999\n", None, "non-finite number '1e999' at (row 'r', column 'a')"),
+    (",a\nr,\n", None, "malformed number '' at (row 'r', column 'a')"),
+    (",state,a\nr,CA,hello\n", "state",
+     "malformed number 'hello' at (row 'r', column 'a')"),
+    (",a,b\nr1,1,bad\nr2,1\n", None, "malformed number 'bad' at (row 'r1', column 'b')"),
+    (",a,b\nr1,1\nr2,1,bad\n", None, "ragged row 'r1': expected 3 fields, got 2"),
+    (",a,b\nr1,1,2\nr2,1,2,3\n", None, "ragged row 'r2': expected 3 fields, got 4"),
+]
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize("text,message", INTERVAL_ERRORS)
+    def test_interval_message(self, text, message):
+        with pytest.raises(DataError) as info:
+            parse_interval_csv(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,concept,message", CLASSIC_ERRORS)
+    def test_classic_message(self, text, concept, message):
+        with pytest.raises(DataError) as info:
+            parse_classic_csv(text, concept=concept)
+        assert str(info.value) == message
+
+
+class TestValidEdgeInputs:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            ',a\nr,"[1_000,2_000]"\n',
+            ',a\nr," [ 1000 ,\t2e3 ] "\n',
+            ',a\r\nr,"[1000,2000]"\r\n',
+            ",a.lo,a.hi\r\nr, 1_000 ,2000.0\r\n",
+            ',a\n\nr,"[1000,2000]"\n\n',
+        ],
+    )
+    def test_interval_cells(self, text):
+        t = parse_interval_csv(text)
+        assert t.rows == ("r",) and t.cols == ("a",)
+        assert t.cell(0, 0) == Interval(1000.0, 2000.0)
+
+    def test_interval_labels(self):
+        text = ',"a,b","say ""x""",油\n"r,1","[1,2]","[3,4]","[5,6]"\nÖl,"[0,0]","[0,0]","[0,0]"\n'
+        t = parse_interval_csv(text)
+        assert t.rows == ("r,1", "Öl")
+        assert t.cols == ("a,b", 'say "x"', "油")
+        assert t.cell(0, 2) == Interval(5.0, 6.0)
+
+    def test_classic_cells_and_labels(self):
+        text = ',"a,b",state,c\r\n"r ""1""",1_000, Öl ,\t-2.5 \r\n油,0,"N,V",1e3\r\n'
+        t = parse_classic_csv(text, concept="state")
+        assert t.rows == ('r "1"', "油") and t.cols == ("a,b", "c")
+        assert t.concept_labels == ("Öl", "N,V")
+        assert t.values.tolist() == [[1000.0, -2.5], [0.0, 1000.0]]
+
+
+_labels = st.text(max_size=6)
+_bounds = st.tuples(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+).map(sorted)
+
+
+@st.composite
+def _interval_tables(draw):
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(_labels, min_size=m, max_size=m, unique=True))
+    # A header whose every name ends in .lo/.hi is the paired layout.
+    cols = draw(
+        st.lists(_labels, min_size=n, max_size=n, unique=True).filter(
+            lambda names: not all(_PAIR_RE.match(name) for name in names)
+        )
+    )
+    cells = draw(st.lists(_bounds, min_size=m * n, max_size=m * n))
+    grid = np.array(cells, dtype=float).reshape(m, n, 2)
+    return IntervalMatrix(tuple(rows), tuple(cols), grid[..., 0], grid[..., 1])
+
+
+class TestRoundTripProperty:
+    @settings(deadline=None)
+    @given(_interval_tables())
+    def test_parse_inverts_write(self, table):
+        back = parse_interval_csv(write_interval_csv(table))
+        assert back == table
+        assert np.array_equal(np.signbit(back.lo), np.signbit(table.lo))
+        assert np.array_equal(np.signbit(back.hi), np.signbit(table.hi))
+
+    def test_extreme_values(self):
+        lo = np.array([[-0.0, 5e-324, -1.7976931348623157e308, -1e308]])
+        hi = np.array([[0.0, 2.2250738585072014e-308, 1.7976931348623157e308, 1e308]])
+        t = IntervalMatrix(("r",), ("a", "b", "c", "d"), lo, hi)
+        back = parse_interval_csv(write_interval_csv(t))
+        assert back == t and np.signbit(back.lo[0, 0])
