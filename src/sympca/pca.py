@@ -53,6 +53,11 @@ __all__ = [
 
 _COMPONENT_PREFIX = "PC"
 
+# Largest float64 Gram product, Z·Zt or Zt·Z, that a route forms: 1 GiB, so
+# a side of at most 11585. Past it the process is more likely killed for
+# memory than finished, so the route raises DataError instead.
+GRAM_LIMIT_BYTES = 1 << 30
+
 
 @dataclass(frozen=True, eq=False)
 class StandardizedBundle:
@@ -132,6 +137,23 @@ def standardize(x: IntervalMatrix) -> StandardizedBundle:
     )
 
 
+def _check_gram_size(route: str, side: int, other_side: int) -> None:
+    """Raise DataError when ``route``'s side x side Gram product would exceed
+    GRAM_LIMIT_BYTES, pointing at the other route when its product is
+    smaller."""
+    size = 8 * side * side
+    if size <= GRAM_LIMIT_BYTES:
+        return
+    message = (
+        f"the {route} route would form a {side}x{side} Gram matrix of "
+        f"{size:,} bytes, over the limit of {GRAM_LIMIT_BYTES:,} bytes"
+    )
+    if other_side < side:
+        other = "ztz" if route == "zzt" else "zzt"
+        message += f"; the {other} route's {other_side}x{other_side} one is smaller"
+    raise DataError(message)
+
+
 def _component_labels(q: int) -> tuple[str, ...]:
     return tuple(f"{_COMPONENT_PREFIX}{k + 1}" for k in range(q))
 
@@ -184,8 +206,10 @@ def pca_zzt(x: IntervalMatrix, q: int | None = None) -> PcaResult:
     The object-side eigenvectors V come straight from the decomposition;
     the variable-side family U is recovered by the duality transport
     Zt·V / sqrt(lam). Components are oriented by U, as in ``pca_ztz``.
+    Raises DataError when the m x m product would exceed GRAM_LIMIT_BYTES.
     """
     bundle = standardize(x)
+    _check_gram_size("zzt", *bundle.z.shape)
     eig = eigen_sym(bundle.z @ bundle.z.T)
     q = _resolve_q(eig, q)
     lam = eig.values[:q].copy()
@@ -201,9 +225,11 @@ def pca_ztz(x: IntervalMatrix, q: int | None = None) -> PcaResult:
     """Interval PCA solving the n x n eigenproblem of Zt·Z.
 
     Mirror of ``pca_zzt``: U is solved directly, V is recovered by the
-    transport Z·U / sqrt(lam).
+    transport Z·U / sqrt(lam). Raises DataError when the n x n product would
+    exceed GRAM_LIMIT_BYTES.
     """
     bundle = standardize(x)
+    _check_gram_size("ztz", *bundle.z.shape[::-1])
     eig = eigen_sym(bundle.z.T @ bundle.z)
     q = _resolve_q(eig, q)
     lam = eig.values[:q].copy()

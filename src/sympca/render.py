@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
+import numpy as np
+
 from .errors import DataError
 from .intervals import IntervalMatrix
 
@@ -194,21 +196,22 @@ def render_plane(scores: IntervalMatrix, spec: PlotSpec) -> str:
               scores.cols[jx], "#444444")
     )
     parts.append(_text(sx(0.0) + 6.0, 14.0, "start", scores.cols[jy], "#444444"))
-    for i, name in enumerate(scores.rows):
+    x_lo, x_hi = scores.lo[:, jx], scores.hi[:, jx]
+    y_lo, y_hi = scores.lo[:, jy], scores.hi[:, jy]
+    left, right, top, bottom = sx(x_lo), sx(x_hi), sy(y_hi), sy(y_lo)
+    # a degenerate score gets a 2-px marker centered on the point
+    point = (x_lo == x_hi) & (y_lo == y_hi)
+    rects = zip(
+        np.where(point, left - 1.0, left).tolist(),
+        np.where(point, bottom - 1.0, top).tolist(),
+        np.where(point, 2.0, right - left).tolist(),
+        np.where(point, 2.0, bottom - top).tolist(),
+    )
+    marks = zip((right + 3.0).tolist(), (top - 3.0).tolist())
+    for i, (name, rect, mark) in enumerate(zip(scores.rows, rects, marks)):
         color = PALETTE[i % len(PALETTE)]
-        x_lo, x_hi = scores.lo[i, jx], scores.hi[i, jx]
-        y_lo, y_hi = scores.lo[i, jy], scores.hi[i, jy]
-        if x_lo == x_hi and y_lo == y_hi:
-            # degenerate score: 2-px marker centered on the point
-            parts.append(
-                _rect(sx(x_lo) - 1.0, sy(y_lo) - 1.0, 2.0, 2.0, color)
-            )
-        else:
-            parts.append(
-                _rect(sx(x_lo), sy(y_hi), sx(x_hi) - sx(x_lo),
-                      sy(y_lo) - sy(y_hi), color)
-            )
+        parts.append(_rect(*rect, color))
         if spec.labels:
-            parts.append(_text(sx(x_hi) + 3.0, sy(y_hi) - 3.0, "start", name, color))
+            parts.append(_text(*mark, "start", name, color))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -12,6 +12,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
@@ -27,6 +28,8 @@ __all__ = [
     "aggregate_classic",
 ]
 
+# The bracket grammar. ``_bracket_texts`` accepts the same cells in bulk;
+# this pattern only words the error once a table is rejected.
 _CELL_RE = re.compile(r"^\s*\[\s*([^,\[\]\s]+)\s*,\s*([^,\[\]\s]+)\s*\]\s*$")
 _PAIR_RE = re.compile(r"^(.+)\.(lo|hi)$")
 
@@ -138,13 +141,32 @@ def parse_interval_csv(text: str) -> IntervalMatrix:
     return _parse_bracketed(names, body)
 
 
+def _bracket_texts(cells: Iterable[str]) -> list[str] | None:
+    """Split ``[lo,hi]`` cells into their bound texts, two per cell; None
+    when a cell is not bracketed or holds no comma.
+
+    It accepts every cell ``_CELL_RE`` does, and more: a bound text holding
+    a comma, a bracket or inner whitespace, which ``float()`` then rejects.
+    ``str.strip()`` removes the grammar's ``\\s`` whitespace; ``float()``
+    alone would leave some of it (``"\\x1c"``).
+    """
+    texts: list[str] = []
+    add = texts.append
+    for cell in cells:
+        head, _, tail = cell.strip().partition(",")
+        if head[:1] != "[" or tail[-1:] != "]":  # no comma: the tail is ""
+            return None
+        add(head[1:].strip())
+        add(tail[:-1].strip())
+    return texts
+
+
 def _parse_bracketed(cols: list[str], body: list[list[str]]) -> IntervalMatrix:
     width = len(cols) + 1
     bounds = None
     if _is_rectangular(body, width):
-        matches = [_CELL_RE.match(cell) for record in body for cell in record[1:]]
-        if None not in matches:
-            texts = [text for match in matches for text in match.groups()]
+        texts = _bracket_texts(cell for record in body for cell in record[1:])
+        if texts is not None:
             per_row = 2 * len(cols)
             bounds = _ordered_bounds(
                 texts, len(body), range(0, per_row, 2), range(1, per_row, 2)
@@ -194,19 +216,29 @@ def _parse_paired(names: list[str], body: list[list[str]]) -> IntervalMatrix:
 
 def write_interval_csv(table: IntervalMatrix) -> str:
     """Serialize to the bracket-cell CSV grammar; reparsing is exact."""
-    out = io.StringIO()
-    plain = csv.writer(out, lineterminator="\n")
+    lines: list[str] = []
+    sink = SimpleNamespace(write=lines.append)  # csv writes one string a record
     # With an LF terminator csv quotes a field holding "\n" but not a bare
-    # "\r", which a reader takes for a line end; a record with one is
+    # "\r", which a reader takes for a line end; a header with one is
     # written fully quoted.
-    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     header = ["", *table.cols]
-    (quoted if any("\r" in name for name in header) else plain).writerow(header)
-    # repr of a float is the shortest string that parses back exactly
-    for label, lows, highs in zip(table.rows, table.lo.tolist(), table.hi.tolist()):
-        cells = [f"[{a!r},{b!r}]" for a, b in zip(lows, highs)]
-        (quoted if "\r" in label else plain).writerow([label, *cells])
-    return out.getvalue()
+    quoted = any("\r" in name for name in header)
+    csv.writer(
+        sink, lineterminator="\n", quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL
+    ).writerow(header)
+    # csv quotes each label as the first field of a record, with an empty
+    # second field unless there are no cells (a lone empty field is written
+    # '""'). Its CRLF terminator makes it quote a bare "\r" too, which gives
+    # the bytes of a fully quoted record. A bracket cell always holds a comma,
+    # so csv would quote it as is: the cells skip csv and are formatted row
+    # by row, repr being the shortest float text that parses back exactly.
+    label = csv.writer(sink, lineterminator="\r\n")
+    pad = ("",) if table.cols else ()
+    cell = '"[{!r},{!r}]"'.format
+    for name, lows, highs in zip(table.rows, table.lo.tolist(), table.hi.tolist()):
+        label.writerow((name, *pad))
+        lines[-1] = lines[-1][:-2] + ",".join(map(cell, lows, highs)) + "\n"
+    return "".join(lines)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,9 +291,13 @@ def parse_classic_csv(text: str, concept: str | None = None) -> ClassicTable:
     width = len(names) + 1
     values = None
     if _is_rectangular(body, width):
-        values = _finite_floats(
-            [record[1 + j] for record in body for j in data_idx]
-        )
+        # the numeric cells are the slices either side of the concept column
+        cut = width if concept_idx is None else 1 + concept_idx
+        texts: list[str] = []
+        for record in body:
+            texts += record[1:cut]
+            texts += record[cut + 1 :]
+        values = _finite_floats(texts)
     if values is None:
         _raise_first_error(
             body,

@@ -184,6 +184,16 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    def test_gram_over_limit_is_2(self, monkeypatch, oils_csv, tmp_path, capsys):
+        monkeypatch.setattr("sympca.pca.GRAM_LIMIT_BYTES", 511)  # oils: 8x8 via zzt
+        argv = ["pca", "--input", str(oils_csv), "--output", str(tmp_path / "o.json")]
+        assert main(argv + ["--method", "zzt"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the zzt route would form a 8x8 Gram matrix of 512 bytes, over "
+            "the limit of 511 bytes; the ztz route's 4x4 one is smaller\n"
+        )
+        assert main(argv + ["--method", "ztz"]) == 0
+
     def test_numeric_failure_is_3(self, monkeypatch, oils_csv, tmp_path, capsys):
         import sympca.cli as cli_mod
 

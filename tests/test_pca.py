@@ -335,3 +335,37 @@ class TestSerialization:
         text = result_to_json(res)
         assert json.loads(text)["method_used"] == "ztz"
         assert text == result_to_json(res)
+
+
+class TestGramSizeLimit:
+    # The limit is lowered so that no test forms a large matrix; oils is 8x4,
+    # so zzt forms an 8x8 product (512 bytes) and ztz a 4x4 one (128 bytes).
+    def test_zzt_over_limit_points_at_ztz(self, oils, monkeypatch):
+        monkeypatch.setattr("sympca.pca.GRAM_LIMIT_BYTES", 511)
+        with pytest.raises(DataError) as info:
+            pca_zzt(oils)
+        assert str(info.value) == (
+            "the zzt route would form a 8x8 Gram matrix of 512 bytes, over the "
+            "limit of 511 bytes; the ztz route's 4x4 one is smaller"
+        )
+        assert pca_ztz(oils).method_used == "ztz"
+        assert pca_auto(oils).method_used == "ztz"
+
+    def test_ztz_over_limit_on_wide_table(self, monkeypatch):
+        wide = random_interval_table(3, 10, np.random.default_rng(4))
+        monkeypatch.setattr("sympca.pca.GRAM_LIMIT_BYTES", 799)
+        with pytest.raises(DataError, match=r"ztz route would form a 10x10 Gram matrix "
+                           r"of 800 bytes.*; the zzt route's 3x3 one is smaller"):
+            pca_ztz(wide)
+        assert pca_zzt(wide).method_used == "zzt"
+
+    def test_limit_is_inclusive_and_larger_other_route_not_named(self, oils, monkeypatch):
+        monkeypatch.setattr("sympca.pca.GRAM_LIMIT_BYTES", 512)
+        assert pca_zzt(oils).method_used == "zzt"
+        monkeypatch.setattr("sympca.pca.GRAM_LIMIT_BYTES", 127)
+        with pytest.raises(DataError) as info:
+            pca_ztz(oils)
+        assert str(info.value) == (
+            "the ztz route would form a 4x4 Gram matrix of 128 bytes, over the "
+            "limit of 127 bytes"
+        )

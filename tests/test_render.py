@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -172,3 +173,53 @@ class TestRenderPlane:
         t = IntervalMatrix((), ("PC1", "PC2"), np.zeros((0, 2)), np.zeros((0, 2)))
         with pytest.raises(DataError, match="empty"):
             render_plane(t, PlotSpec())
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Bytes as rendered before the plane's coordinates were computed as arrays.
+# The inputs are exact data, not PCA results, so no eigensolver rounding
+# reaches them.
+class TestRenderPlaneBytes:
+    def test_oils(self, oils):
+        svg = render_plane(oils, PlotSpec())
+        assert _sha256(svg) == (
+            "6d549ca1fde1cb80343a2dfcd9a1f4e0fa1231d1aaef75d4432d93fd7889307b"
+        )
+
+    def test_unlabelled_with_title(self, oils):
+        spec = PlotSpec(axis_x=3, axis_y=1, width=640, height=480, labels=False,
+                        title="A&B <plane>")
+        assert _sha256(render_plane(oils, spec)) == (
+            "a92fab50e2042495a341d167b5fee29af519ebe110c7b1e10cfd5d278ec7d60a"
+        )
+
+    def test_degenerate_row(self):
+        t = IntervalMatrix(
+            ("pt", "box"), ("PC1", "PC2"),
+            [[0.5, 0.5], [-1.0, -1.0]], [[0.5, 0.5], [0.0, 0.0]],
+        )
+        assert render_plane(t, PlotSpec()) == (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="600" '
+            'height="600" viewBox="0 0 600 600">\n'
+            '<line x1="0.0" y1="209.0909090909091" x2="600.0" y2="209.0909090909091" '
+            'stroke="#999999" stroke-width="1"/>\n'
+            '<line x1="390.90909090909093" y1="0.0" x2="390.90909090909093" y2="600.0" '
+            'stroke="#999999" stroke-width="1"/>\n'
+            '<text x="596.0" y="203.0909090909091" text-anchor="end" '
+            'font-family="sans-serif" font-size="12" fill="#444444">PC1</text>\n'
+            '<text x="396.90909090909093" y="14.0" text-anchor="start" '
+            'font-family="sans-serif" font-size="12" fill="#444444">PC2</text>\n'
+            '<rect x="571.7272727272727" y="26.272727272727256" width="2.0" height="2.0" '
+            'fill="none" stroke="#1f77b4" stroke-width="1.5"/>\n'
+            '<text x="575.7272727272727" y="24.272727272727256" text-anchor="start" '
+            'font-family="sans-serif" font-size="12" fill="#1f77b4">pt</text>\n'
+            '<rect x="27.272727272727256" y="209.0909090909091" width="363.6363636363637" '
+            'height="363.6363636363636" fill="none" stroke="#d62728" stroke-width="1.5"/>\n'
+            '<text x="393.90909090909093" y="206.0909090909091" text-anchor="start" '
+            'font-family="sans-serif" font-size="12" fill="#d62728">box</text>\n'
+            "</svg>\n"
+        )

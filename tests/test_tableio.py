@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import csv
+import io
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sympca import (
@@ -115,6 +120,40 @@ class TestWriteIntervalCsv:
         t = IntervalMatrix(("r",), ("a",), [[0.0]], [[1.0]])
         out = write_interval_csv(t)
         assert "\r" not in out and out.endswith("\n")
+
+    # Bytes as written before the cells were formatted outside csv.
+    @pytest.mark.parametrize(
+        "table,expected",
+        [
+            (
+                IntervalMatrix(
+                    ("a,b", 'say "hi"', "line\nfeed", "bare\rcr", "", " lead", "Öl 油"),
+                    ("x", 'q"c'),
+                    [[-1.5, 0.1 + 0.2], [0.0, -0.0], [1e-300, 2.5], [-3.0, 1.0 / 3.0],
+                     [5e-324, 1e22], [-2.0, 7.0], [0.5, 0.25]],
+                    [[-0.5, 1.3], [1.0, 1.0], [1.0, 3.5],
+                     [-2.0, 1.3333333333333333], [1.0, 1e22], [-1.0, 8.0], [1.5, 1.25]],
+                ),
+                ',x,"q""c"\n"a,b","[-1.5,-0.5]","[0.30000000000000004,1.3]"\n'
+                '"say ""hi""","[0.0,1.0]","[-0.0,1.0]"\n"line\nfeed","[1e-300,1.0]","[2.5,3.5]"\n'
+                '"bare\rcr","[-3.0,-2.0]","[0.3333333333333333,1.3333333333333333]"\n'
+                ',"[5e-324,1.0]","[1e+22,1e+22]"\n lead,"[-2.0,-1.0]","[7.0,8.0]"\n'
+                'Öl 油,"[0.5,1.5]","[0.25,1.25]"\n',
+            ),
+            (
+                IntervalMatrix(("r", "", "c\rr", " "), (), np.zeros((4, 0)), np.zeros((4, 0))),
+                '""\nr\n""\n"c\rr"\n \n',
+            ),
+            (
+                IntervalMatrix(("r", "s\rt"), ("a\rb", "c"), [[0.0, 1.0], [2.0, 3.0]],
+                               [[1.0, 1.0], [2.0, 4.0]]),
+                '"","a\rb","c"\nr,"[0.0,1.0]","[1.0,1.0]"\n"s\rt","[2.0,2.0]","[3.0,4.0]"\n',
+            ),
+        ],
+        ids=["labels", "no-columns", "cr-header"],
+    )
+    def test_pinned_bytes(self, table, expected):
+        assert write_interval_csv(table) == expected
 
 
 class TestParseClassicCsv:
@@ -324,6 +363,10 @@ class TestValidEdgeInputs:
             ',a\r\nr,"[1000,2000]"\r\n',
             ",a.lo,a.hi\r\nr, 1_000 ,2000.0\r\n",
             ',a\n\nr,"[1000,2000]"\n\n',
+            # whitespace that float() does not strip around a bound (\x1c),
+            # and digits outside ASCII, which it reads
+            ',a\nr,"[\u0661\u0660\u0660\u0660,2000\r\x1c ]"\n',
+            ',a\nr," [\u0661\u0660\u0660\u0660\u3000\x1c,\xa02e3]"\n',
         ],
     )
     def test_interval_cells(self, text):
@@ -384,3 +427,87 @@ class TestRoundTripProperty:
         t = IntervalMatrix(("r",), ("a", "b", "c", "d"), lo, hi)
         back = parse_interval_csv(write_interval_csv(t))
         assert back == t and np.signbit(back.lo[0, 0])
+
+
+# The bracket grammar, as README states it, and the cell-by-cell check it
+# implies: the bulk parse must agree with it on acceptance, values and the
+# first error's message.
+_GRAMMAR = re.compile(r"^\s*\[\s*([^,\[\]\s]+)\s*,\s*([^,\[\]\s]+)\s*\]\s*$")
+
+
+def _reference_bounds(cell: str, where: str) -> tuple[float, float] | str:
+    match = _GRAMMAR.match(cell)
+    if match is None:
+        return f"malformed interval cell {cell!r} at {where}"
+    bounds = []
+    for text in match.groups():
+        try:
+            value = float(text)
+        except ValueError:
+            return f"malformed number {text!r} at {where}"
+        if not math.isfinite(value):
+            return f"non-finite number {text!r} at {where}"
+        bounds.append(value)
+    if bounds[0] > bounds[1]:
+        return f"lower bound exceeds upper bound at {where}"
+    return bounds[0], bounds[1]
+
+
+def _grammar_check(cells: list[str]) -> None:
+    """Parse the cells, two to a row, as a table with columns a and b, and
+    compare with the cell-by-cell reference: same values, or the same first
+    error."""
+    cols = ("a", "b")[: len(cells)]
+    records = [cells[k : k + 2] for k in range(0, len(cells), 2)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(["", *cols])
+    writer.writerows([f"r{i}", *r] for i, r in enumerate(records))
+    expected = [
+        _reference_bounds(cell, f"(row {f'r{i}'!r}, column {col!r})")
+        for i, r in enumerate(records)
+        for col, cell in zip(cols, r)
+    ]
+    error = next((e for e in expected if isinstance(e, str)), None)
+    if error is None:
+        t = parse_interval_csv(out.getvalue())
+        assert t.lo.ravel().tolist() == [lo for lo, _ in expected]
+        assert t.hi.ravel().tolist() == [hi for _, hi in expected]
+    else:
+        with pytest.raises(DataError) as info:
+            parse_interval_csv(out.getvalue())
+        assert str(info.value) == error
+
+
+def _mostly(right: list[str], wrong: list[str]) -> st.SearchStrategy[str]:
+    return st.one_of(*[st.sampled_from(right)] * 3, st.sampled_from(wrong))
+
+
+_cell_text = st.text(
+    st.sampled_from(list("[],0123456789.eE+-_xnaif \t\r\n\x1c\xa0\u3000\u0661")),
+    max_size=10,
+)
+_space = st.sampled_from(["", " ", "\t", "\r", "\x1c", "\xa0", "\u3000", " \x1c"])
+_number = _mostly(["1", "-2.5", ".\u0661", "1e3", "1_0"], ["nan", "x", "1 2", "", "1e999"])
+# Near-valid cells: each slot of the grammar is filled wrongly a quarter of
+# the time, so that most examples hold one fault.
+_bracket_cell = st.builds(
+    "{}{}{}{}{}{}{}{}{}{}{}".format,
+    _space, _mostly(["["], ["", "x", "[["]), _space, _number, _space,
+    _mostly([","], ["", ",,", ", ,"]), _space, _number, _space,
+    _mostly(["]"], ["", "]]", "x"]), _space,
+)
+
+
+class TestBracketGrammarProperty:
+    @settings(deadline=None, max_examples=500)
+    @given(st.one_of(_bracket_cell, _cell_text))
+    @example("[.\u0661,2\r\x1c ]")
+    @example(" [\u0661\u3000\x1c,\xa02]")
+    def test_cell_matches_grammar(self, cell):
+        _grammar_check([cell])
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.one_of(_bracket_cell, _cell_text), min_size=4, max_size=4))
+    def test_first_error_matches_cell_walk(self, cells):
+        _grammar_check(cells)
