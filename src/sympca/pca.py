@@ -137,20 +137,20 @@ def standardize(x: IntervalMatrix) -> StandardizedBundle:
     )
 
 
-def _check_gram_size(route: str, side: int, other_side: int) -> None:
-    """Raise DataError when ``route``'s side x side Gram product would exceed
-    GRAM_LIMIT_BYTES, pointing at the other route when its product is
-    smaller."""
+def _check_gram_size(owner: str, side: int, other: tuple[str, int] | None = None) -> None:
+    """Raise DataError when ``owner``'s side x side Gram product would exceed
+    GRAM_LIMIT_BYTES; ``other`` names a route and its side, pointed at when
+    its product is smaller."""
     size = 8 * side * side
     if size <= GRAM_LIMIT_BYTES:
         return
     message = (
-        f"the {route} route would form a {side}x{side} Gram matrix of "
+        f"{owner} would form a {side}x{side} Gram matrix of "
         f"{size:,} bytes, over the limit of {GRAM_LIMIT_BYTES:,} bytes"
     )
-    if other_side < side:
-        other = "ztz" if route == "zzt" else "zzt"
-        message += f"; the {other} route's {other_side}x{other_side} one is smaller"
+    if other is not None and other[1] < side:
+        route, other_side = other
+        message += f"; the {route} route's {other_side}x{other_side} one is smaller"
     raise DataError(message)
 
 
@@ -209,7 +209,8 @@ def pca_zzt(x: IntervalMatrix, q: int | None = None) -> PcaResult:
     Raises DataError when the m x m product would exceed GRAM_LIMIT_BYTES.
     """
     bundle = standardize(x)
-    _check_gram_size("zzt", *bundle.z.shape)
+    m, n = bundle.z.shape
+    _check_gram_size("the zzt route", m, ("ztz", n))
     eig = eigen_sym(bundle.z @ bundle.z.T)
     q = _resolve_q(eig, q)
     lam = eig.values[:q].copy()
@@ -229,7 +230,8 @@ def pca_ztz(x: IntervalMatrix, q: int | None = None) -> PcaResult:
     exceed GRAM_LIMIT_BYTES.
     """
     bundle = standardize(x)
-    _check_gram_size("ztz", *bundle.z.shape[::-1])
+    m, n = bundle.z.shape
+    _check_gram_size("the ztz route", n, ("zzt", m))
     eig = eigen_sym(bundle.z.T @ bundle.z)
     q = _resolve_q(eig, q)
     lam = eig.values[:q].copy()
@@ -256,8 +258,11 @@ def interval_scores_raw(x: IntervalMatrix, q: int | None = None) -> IntervalMatr
     cross-product (the covariance matrix up to a factor of m), and projects
     the centered interval bounds onto its eigenvectors. This is the original
     midpoint method the duality pipeline extends; kept for comparison.
+
+    Raises DataError when the n x n product would exceed GRAM_LIMIT_BYTES.
     """
     m, n = x.shape
+    _check_gram_size("interval_scores_raw", n)
     if m < 2:
         raise DataError(f"need at least 2 rows, got {m}")
     mids = centers_matrix(x)

@@ -12,6 +12,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, NoReturn, Sequence
 
@@ -58,21 +59,62 @@ def _check_bracket_cell(cell: str, where: str) -> None:
 
 def _read_records(text: str) -> list[list[str]]:
     reader = csv.reader(io.StringIO(text, newline=""))
-    records = [row for row in reader if row]
+    try:
+        records = [row for row in reader if row]
+    except csv.Error as exc:
+        raise DataError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
     if not records:
         raise DataError("empty input: no header row")
     return records
 
 
-def _split_header(records: list[list[str]]) -> tuple[list[str], list[list[str]]]:
-    header = records[0]
+def _plain_lines(text: str) -> list[str] | None:
+    """The non-empty lines of a text that ``csv.reader`` would split at
+    every "," and "\\n" and nowhere else; None when the text needs the reader:
+    it holds a quote, a carriage return or a NUL, or a line longer than the
+    field size limit, on which the reader raises.
+
+    ``str.splitlines()`` would also break at characters the reader keeps in
+    a field ("\\x1c", "\\x85", "\\u2028").
+    """
+    if '"' in text or "\r" in text or "\x00" in text:
+        return None
+    lines = list(filter(None, text.split("\n")))  # the reader drops empty records
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    return lines
+
+
+def _read_table(text: str) -> tuple[list[str], list[str] | None]:
+    """Tokenise CSV text into its header record and the fields of its body,
+    row-major in one flat list; the list is None when some body record's
+    length differs from the header's.
+
+    Quote-free text is split with ``str.split``, anything else is read with
+    ``csv.reader``; both give the same fields.
+    """
+    lines = _plain_lines(text)
+    if lines is None:
+        header, *body = _read_records(text)
+        width = len(header)
+        if any(len(record) != width for record in body):
+            return header, None
+        return header, list(chain.from_iterable(body))
+    if not lines:
+        raise DataError("empty input: no header row")
+    header = lines[0].split(",")
+    body = lines[1:]
+    commas = len(header) - 1
+    if any(line.count(",") != commas for line in body):
+        return header, None
+    # "".split(",") is [""], not []: a header-only text has no fields
+    return header, ",".join(body).split(",") if body else []
+
+
+def _header_names(header: list[str]) -> list[str]:
     if len(header) < 2:
         raise DataError("header must name at least one data column")
-    return header[1:], records[1:]
-
-
-def _is_rectangular(body: list[list[str]], width: int) -> bool:
-    return all(len(record) == width for record in body)
+    return header[1:]
 
 
 def _finite_floats(texts: list[str]) -> np.ndarray | None:
@@ -100,18 +142,28 @@ def _ordered_bounds(
     return (lo, hi) if (lo <= hi).all() else None
 
 
+def _take_labels(fields: list[str], width: int) -> list[str]:
+    """Remove the record labels, every ``width``-th field from the first,
+    from a flat row-major field list, and return them."""
+    labels = fields[::width]
+    del fields[::width]
+    return labels
+
+
 def _raise_first_error(
-    body: list[list[str]],
-    width: int,
+    text: str,
     cells: Callable[[list[str]], Iterable[tuple[str, Any]]],
     check: Callable[[Any, str], object],
 ) -> NoReturn:
-    """Walk the records in order and raise the first error: a ragged row,
-    else the first of its ``(column, cell)`` pairs that ``check`` rejects.
+    """Walk the body records of ``text`` in order and raise the first error:
+    a ragged row, else the first of its ``(column, cell)`` pairs that
+    ``check`` rejects.
 
     Runs only after the bulk pass has rejected the table, so that the
     message names the same cell, in the same words, as a cell-by-cell parse.
     """
+    header, *body = _read_records(text)
+    width = len(header)
     for record in body:
         if len(record) != width:
             raise DataError(
@@ -135,10 +187,11 @@ def parse_interval_csv(text: str) -> IntervalMatrix:
     inverted bounds, ragged rows, or duplicate labels; the message names the
     first bad cell in record order.
     """
-    names, body = _split_header(_read_records(text))
+    header, fields = _read_table(text)
+    names = _header_names(header)
     if all(_PAIR_RE.match(n) for n in names) and names:
-        return _parse_paired(names, body)
-    return _parse_bracketed(names, body)
+        return _parse_paired(text, names, fields)
+    return _parse_bracketed(text, names, fields)
 
 
 def _bracket_texts(cells: Iterable[str]) -> list[str] | None:
@@ -161,25 +214,26 @@ def _bracket_texts(cells: Iterable[str]) -> list[str] | None:
     return texts
 
 
-def _parse_bracketed(cols: list[str], body: list[list[str]]) -> IntervalMatrix:
-    width = len(cols) + 1
+def _parse_bracketed(
+    text: str, cols: list[str], fields: list[str] | None
+) -> IntervalMatrix:
     bounds = None
-    if _is_rectangular(body, width):
-        texts = _bracket_texts(cell for record in body for cell in record[1:])
+    if fields is not None:
+        rows = _take_labels(fields, len(cols) + 1)
+        texts = _bracket_texts(fields)
         if texts is not None:
             per_row = 2 * len(cols)
             bounds = _ordered_bounds(
-                texts, len(body), range(0, per_row, 2), range(1, per_row, 2)
+                texts, len(rows), range(0, per_row, 2), range(1, per_row, 2)
             )
     if bounds is None:
-        _raise_first_error(
-            body, width, lambda record: zip(cols, record[1:]), _check_bracket_cell
-        )
-    rows = tuple(record[0] for record in body)
-    return IntervalMatrix(rows, tuple(cols), *bounds)
+        _raise_first_error(text, lambda record: zip(cols, record[1:]), _check_bracket_cell)
+    return IntervalMatrix(tuple(rows), tuple(cols), *bounds)
 
 
-def _parse_paired(names: list[str], body: list[list[str]]) -> IntervalMatrix:
+def _parse_paired(
+    text: str, names: list[str], fields: list[str] | None
+) -> IntervalMatrix:
     bases: list[str] = []
     slots: dict[str, dict[str, int]] = {}
     for j, name in enumerate(names):
@@ -195,23 +249,20 @@ def _parse_paired(names: list[str], body: list[list[str]]) -> IntervalMatrix:
             raise DataError(f"incomplete bound pair for column {base!r}")
     lo_idx = [slots[base]["lo"] for base in bases]
     hi_idx = [slots[base]["hi"] for base in bases]
-    width = len(names) + 1
     bounds = None
-    if _is_rectangular(body, width):
-        texts = [cell for record in body for cell in record[1:]]
-        bounds = _ordered_bounds(texts, len(body), lo_idx, hi_idx)
+    if fields is not None:
+        rows = _take_labels(fields, len(names) + 1)
+        bounds = _ordered_bounds(fields, len(rows), lo_idx, hi_idx)
     if bounds is None:
         _raise_first_error(
-            body,
-            width,
+            text,
             lambda record: (
                 (base, (record[1 + a], record[1 + b]))
                 for base, a, b in zip(bases, lo_idx, hi_idx)
             ),
             _check_bounds,
         )
-    rows = tuple(record[0] for record in body)
-    return IntervalMatrix(rows, tuple(bases), *bounds)
+    return IntervalMatrix(tuple(rows), tuple(bases), *bounds)
 
 
 def write_interval_csv(table: IntervalMatrix) -> str:
@@ -279,7 +330,8 @@ class ClassicTable:
 
 def parse_classic_csv(text: str, concept: str | None = None) -> ClassicTable:
     """Parse a classic numeric CSV; ``concept`` names a column kept as text."""
-    names, body = _split_header(_read_records(text))
+    header, fields = _read_table(text)
+    names = _header_names(header)
     if len(set(names)) != len(names):
         raise DataError("duplicate column label in classic table header")
     concept_idx: int | None = None
@@ -288,32 +340,26 @@ def parse_classic_csv(text: str, concept: str | None = None) -> ClassicTable:
             raise DataError(f"concept column {concept!r} not found")
         concept_idx = names.index(concept)
     data_idx = [j for j in range(len(names)) if j != concept_idx]
-    width = len(names) + 1
     values = None
-    if _is_rectangular(body, width):
-        # the numeric cells are the slices either side of the concept column
-        cut = width if concept_idx is None else 1 + concept_idx
-        texts: list[str] = []
-        for record in body:
-            texts += record[1:cut]
-            texts += record[cut + 1 :]
-        values = _finite_floats(texts)
+    if fields is not None:
+        width = len(header)
+        concept_labels: tuple[str, ...] = ()
+        if concept_idx is not None:
+            concept_labels = tuple(map(str.strip, fields[1 + concept_idx :: width]))
+            del fields[1 + concept_idx :: width]
+            width -= 1
+        rows = _take_labels(fields, width)
+        values = _finite_floats(fields)
     if values is None:
         _raise_first_error(
-            body,
-            width,
+            text,
             lambda record: ((names[j], record[1 + j]) for j in data_idx),
             _parse_number,
         )
-    concept_labels = (
-        tuple(record[1 + concept_idx].strip() for record in body)
-        if concept_idx is not None
-        else ()
-    )
     return ClassicTable(
-        tuple(record[0] for record in body),
+        tuple(rows),
         tuple(names[j] for j in data_idx),
-        values.reshape(len(body), len(data_idx)),
+        values.reshape(len(rows), len(data_idx)),
         concept=concept,
         concept_labels=concept_labels,
     )

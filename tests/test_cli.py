@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import xml.etree.ElementTree as ET
 
@@ -176,6 +177,19 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "row 'r'" in err and "Traceback" not in err
+
+    def test_field_over_csv_limit_is_2(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        src = tmp_path / "wide.csv"
+        src.write_text(",state,x\n1,CA,0.5\n2,CA," + "1" * (limit + 1) + "\n", encoding="utf-8")
+        code = main([
+            "aggregate", "--input", str(src), "--output", str(tmp_path / "o.csv"),
+            "--by", "state",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: unreadable CSV at line 3: field larger than field limit ({limit})\n"
+        )
 
     def test_q_out_of_range_is_2(self, oils_csv, tmp_path):
         code = main([

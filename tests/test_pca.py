@@ -369,3 +369,15 @@ class TestGramSizeLimit:
             "the ztz route would form a 4x4 Gram matrix of 128 bytes, over the "
             "limit of 127 bytes"
         )
+
+    def test_interval_scores_raw_over_limit(self, oils, monkeypatch):
+        # centres-only scores form the n x n product, 4x4 on oils
+        monkeypatch.setattr("sympca.pca.GRAM_LIMIT_BYTES", 127)
+        with pytest.raises(DataError) as info:
+            interval_scores_raw(oils)
+        assert str(info.value) == (
+            "interval_scores_raw would form a 4x4 Gram matrix of 128 bytes, over "
+            "the limit of 127 bytes"
+        )
+        monkeypatch.setattr("sympca.pca.GRAM_LIMIT_BYTES", 128)
+        assert interval_scores_raw(oils).shape == (8, 4)

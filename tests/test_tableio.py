@@ -511,3 +511,147 @@ class TestBracketGrammarProperty:
     @given(st.lists(st.one_of(_bracket_cell, _cell_text), min_size=4, max_size=4))
     def test_first_error_matches_cell_walk(self, cells):
         _grammar_check(cells)
+
+
+class TestUnreadableCsv:
+    # csv.reader raises on a field longer than its limit; the parse reports a
+    # DataError naming the line, whichever tokeniser the text would take.
+    @pytest.mark.parametrize(
+        "head,tail",
+        [(",a\nr,1\nq,", "\n"), (',a\n"r",1\nq,', "\n"), (",a\r\nr,1\r\nq,", "")],
+        ids=["quote-free", "quoted", "crlf"],
+    )
+    def test_classic_field_over_limit(self, head, tail):
+        limit = csv.field_size_limit()
+        with pytest.raises(DataError) as info:
+            parse_classic_csv(head + "1" * (limit + 1) + tail)
+        assert str(info.value) == (
+            f"unreadable CSV at line 3: field larger than field limit ({limit})"
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [',a\n"r","[1,2]"\nq,"[1,{}]"\n', ",a.lo,a.hi\nr,1,2\nq,1,{}\n"],
+        ids=["bracketed", "paired"],
+    )
+    def test_interval_field_over_limit(self, text):
+        limit = csv.field_size_limit()
+        with pytest.raises(DataError) as info:
+            parse_interval_csv(text.format("2" * (limit + 1)))
+        assert str(info.value) == (
+            f"unreadable CSV at line 3: field larger than field limit ({limit})"
+        )
+
+    def test_line_over_limit_with_short_fields_parses(self):
+        n = csv.field_size_limit() // 2 + 1
+        text = "," + ",".join(f"c{j}" for j in range(n)) + "\nr" + ",1" * n + "\n"
+        t = parse_classic_csv(text)
+        assert t.shape == (1, n) and t.values.min() == 1.0
+
+
+def _reference_classic(text: str, concept: str | None):
+    """parse_classic_csv as csv.reader records and one float() per cell:
+    (rows, cols, concept labels, values), or the first error's message."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        records = [record for record in reader if record]
+    except csv.Error as exc:
+        return f"unreadable CSV at line {reader.line_num}: {exc}"
+    if not records:
+        return "empty input: no header row"
+    header, *body = records
+    names = header[1:]
+    if not names:
+        return "header must name at least one data column"
+    if len(set(names)) != len(names):
+        return "duplicate column label in classic table header"
+    if concept is not None and concept not in names:
+        return f"concept column {concept!r} not found"
+    data = [j for j, name in enumerate(names) if name != concept]
+    values = []
+    for record in body:
+        if len(record) != len(header):
+            return (
+                f"ragged row {record[0]!r}: expected {len(header)} fields, "
+                f"got {len(record)}"
+            )
+        for j in data:
+            where = f"(row {record[0]!r}, column {names[j]!r})"
+            try:
+                value = float(record[1 + j])
+            except ValueError:
+                return f"malformed number {record[1 + j]!r} at {where}"
+            if not math.isfinite(value):
+                return f"non-finite number {record[1 + j]!r} at {where}"
+            values.append(value)
+    labels = () if concept is None else tuple(
+        record[1 + names.index(concept)].strip() for record in body
+    )
+    return (
+        tuple(record[0] for record in body),
+        tuple(names[j] for j in data),
+        labels,
+        values,
+    )
+
+
+def _column_names(text: str) -> list[str]:
+    try:
+        header = next(filter(None, csv.reader(io.StringIO(text, newline=""))), [])
+    except csv.Error:  # NUL, before Python 3.11
+        return []
+    return header[1:]
+
+
+# Characters csv.reader treats specially (quote, CR, LF, NUL, comma), ones
+# str.splitlines() breaks at but csv does not (\x1c, \x85, \u2028), and the
+# pieces of numbers and labels.
+_csv_char = st.sampled_from(list(',\n\r"\x00 \x1c\x85\u2028' "0123456789.eE+-_" "abxyz"))
+_field = _mostly(["1", "-2.5", "1e3", " 4 ", "CA", "NV", "x"], ["", "nan", "1e999"]) | st.text(
+    _csv_char, max_size=4
+)
+
+
+@st.composite
+def _classic_texts(draw):
+    """Mostly rectangular tables of numbers and labels, with some fields
+    holding any of ``_csv_char``; a quarter of the time any text at all."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(_csv_char, max_size=30))
+    width = draw(st.integers(1, 4))
+    name = _mostly(["", "a", "b", "c", "k", "a b"], ["\x1c", "a,b", '"q"'])
+    records = [[draw(name) for _ in range(width)]]
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(_mostly([width], [width - 1, width + 1]))
+        records.append([draw(_field) for _ in range(max(n, 1))])
+    ends = st.sampled_from(["\n", "\n", "\n\n", "\r\n", "\n \n"])
+    text = "".join(",".join(record) + draw(ends) for record in records)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+class TestClassicTokeniserProperty:
+    # parse_classic_csv splits quote-free text with str.split and reads any
+    # other text with csv.reader; both must agree with the csv reference.
+    @settings(deadline=None, max_examples=400)
+    @given(_classic_texts())
+    @example(",a,b\n")  # header only: no record, not one empty field
+    @example(",a,b\n\n")
+    @example(",a,b\nr,1,2")  # no final newline
+    @example("\n,a\n\nr,1\n\n\ns,2\n")  # blank lines
+    @example(",a\n   \nr,1\n")  # a line of spaces is a one-field record
+    @example(",k,a\nr, CA ,1\ns,NV,2\n")  # concept column first or last
+    @example(",a\nx\u2028y,1\nz\x1cw,2\nv\x85,3\n")  # splitlines() breaks these
+    @example(",a\nr,1\x00\n")
+    @example(',"a,b"\r\n"r",1\r\n')
+    @example(",a\nr,1\rs,2\n")
+    def test_matches_csv_reader(self, text):
+        for concept in (None, "?", *_column_names(text)):
+            expected = _reference_classic(text, concept)
+            if isinstance(expected, str):
+                with pytest.raises(DataError) as info:
+                    parse_classic_csv(text, concept=concept)
+                assert str(info.value) == expected
+            else:
+                t = parse_classic_csv(text, concept=concept)
+                got = (t.rows, t.cols, t.concept_labels, t.values.ravel().tolist())
+                assert got == expected
