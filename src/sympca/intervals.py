@@ -1,12 +1,12 @@
-"""Closed-interval primitives and the signed-weight interval projection.
+"""Closed-interval primitives and the centre-radius interval projection.
 
 An interval-valued observation is a closed interval [lo, hi] instead of a
 single number. A labelled grid of such cells is an interval table; each row
 (or column) of the grid spans an axis-aligned hypercube in Euclidean space.
-Projecting that hypercube onto a direction vector yields an interval whose
-endpoints are attained at vertices picked by the signs of the direction's
-entries: a positive weight sends the lower bound to the lower endpoint,
-a negative weight swaps the roles, a zero weight contributes nothing.
+Projecting that hypercube onto a direction vector w yields the interval
+c·w ± r·|w| (midpoint-radius interval arithmetic), with c the cell midpoints
+and r the cell half-widths; its endpoints are attained at the vertices
+picked by the signs of w's entries.
 
 ``interval_project`` computes those extremes in closed form;
 ``vertex_extremes`` recomputes them by brute-force vertex enumeration and
@@ -114,10 +114,6 @@ class BoundsPair:
     def shape(self) -> tuple[int, int]:
         return self.low.shape
 
-    @property
-    def transposed(self) -> "BoundsPair":
-        return BoundsPair(self.low.T, self.high.T)
-
 
 def _check_labels(labels, axis: str) -> tuple[str, ...]:
     out = tuple(str(name) for name in labels)
@@ -169,10 +165,6 @@ class IntervalMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
 
-    @property
-    def bounds(self) -> BoundsPair:
-        return BoundsPair(self.lo, self.hi)
-
     def cell(self, i: int, j: int) -> Interval:
         return Interval(self.lo[i, j], self.hi[i, j])
 
@@ -205,6 +197,14 @@ def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
+def _spread(centre, radius, weights, rows, cols) -> IntervalMatrix:
+    """Intervals ``centre ± radius @ |weights|`` around the projected box centres."""
+    # radius >= 0 makes half >= 0, and then rounding keeps fl(c - half) <= c <=
+    # fl(c + half): c lies inside exactly, and a zero radius gives c at both ends.
+    half = radius @ np.abs(weights)
+    return IntervalMatrix(rows, cols, centre - half, centre + half)
+
+
 def interval_project(
     bounds: BoundsPair,
     weights: np.ndarray,
@@ -234,15 +234,11 @@ def interval_project(
         raise DataError(
             f"non-conformable shapes: bounds {bounds.shape} vs weights {w.shape}"
         )
-    w_pos = np.where(w > 0, w, 0.0)
-    w_neg = np.where(w < 0, w, 0.0)
-    lo = bounds.low @ w_pos + bounds.high @ w_neg
-    hi = bounds.high @ w_pos + bounds.low @ w_neg
-    # Guard against rounding inversions on (near-)degenerate inputs.
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    centre = (bounds.low + bounds.high) / 2.0
+    radius = (bounds.high - bounds.low) / 2.0
     row_labels = _default_labels("r", m) if rows is None else tuple(rows)
     col_labels = _default_labels("c", w.shape[1]) if cols is None else tuple(cols)
-    return IntervalMatrix(row_labels, col_labels, lo, hi)
+    return _spread(centre @ w, radius, w, row_labels, col_labels)
 
 
 def vertex_extremes(bounds_row: Sequence, weight) -> Interval:

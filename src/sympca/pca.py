@@ -5,19 +5,19 @@ midpoint matrix to Z (zero-mean, unit-norm columns, so Zt·Z is the midpoint
 correlation matrix), and eigendecompose either Z·Zt (``pca_zzt``) or Zt·Z
 (``pca_ztz``). Each path solves one eigenproblem with ``eigen_sym`` and
 recovers the other eigenvector family with one ``dual_transport`` call
-(U = Zt·V / sqrt(lam), or V = Z·U / sqrt(lam)), then projects the interval
-bounds onto the appropriate family with the signed-weight rule:
+(U = Zt·V / sqrt(lam), or V = Z·U / sqrt(lam)), then spreads each classical
+(midpoint) value by the interval radii projected onto |eigenvectors|:
 
-* interval scores of the objects come from projecting object rows onto the
-  variable-side eigenvectors U (in the unit-variance scale of the data),
-* interval correlations of the variables come from projecting variable
-  columns of Z's bounds onto the object-side eigenvectors V.
+* interval scores of the objects: Z·U (in the unit-variance scale of the
+  data) ± the object rows' radii projected onto |U|,
+* interval correlations of the variables: Zt·V ± the variable columns'
+  radii projected onto |V|.
 
 ``pca_auto`` picks whichever path has the smaller eigenproblem. Both paths
 orient each component by the canonical sign rule applied to U, so they
-agree on every output up to roundoff (for separated eigenvalues); midpoint
-(classical) scores and correlations always fall inside their interval
-counterparts.
+agree on every output up to roundoff (for separated eigenvalues). Midpoint
+(classical) scores and correlations lie inside their interval counterparts
+exactly, and on degenerate input they equal both endpoints bit for bit.
 
 Interval correlations are stored raw. Hypercube vertices can leave the unit
 ball, so an endpoint can exceed 1 in magnitude; ``clamp_correlations``
@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .intervals import BoundsPair, IntervalMatrix, interval_project
+from .intervals import BoundsPair, IntervalMatrix, _spread
 from .linalg import EigenDecomposition, _canonical_signs, dual_transport, eigen_sym
 
 __all__ = [
@@ -108,22 +108,29 @@ def standardize(x: IntervalMatrix) -> StandardizedBundle:
     map is applied to the lower and upper bounds. Every column of z then has
     zero mean and unit norm, and Zt·Z is the midpoint correlation matrix.
 
-    Raises DataError when m < 2 or a midpoint column is constant.
+    Raises DataError when m < 2 or a midpoint column is constant or overflows.
     """
     m = x.shape[0]
     if m < 2:
         raise DataError(f"need at least 2 rows to standardize, got {m}")
-    mids = centers_matrix(x)
-    means = mids.mean(axis=0)
-    stds = mids.std(axis=0)
-    # The range test catches constant columns whose std rounds to a tiny
-    # non-zero value.
-    constant = (stds == 0.0) | (np.ptp(mids, axis=0) == 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mids = centers_matrix(x)
+        means = mids.mean(axis=0)
+        stds = mids.std(axis=0)
+        # The range test catches constant columns whose std rounds to a tiny
+        # non-zero value.
+        constant = (stds == 0.0) | (np.ptp(mids, axis=0) == 0.0)
     if np.any(constant):
         j = int(np.argmax(constant))
         raise DataError(
             f"column {x.cols[j]!r} is constant (zero variance); "
             "it cannot be standardized"
+        )
+    overflow = ~(np.isfinite(means) & np.isfinite(stds))
+    if np.any(overflow):
+        raise DataError(
+            f"column {x.cols[int(np.argmax(overflow))]!r} is too large in magnitude "
+            "to standardize: its midpoint mean or standard deviation overflows"
         )
     scale = 1.0 / (math.sqrt(m) * stds)
     z = (mids - means) * scale
@@ -178,16 +185,13 @@ def _assemble(
     method: str,
 ) -> PcaResult:
     pcs = _component_labels(lam.size)
-    # Scores live in the unit-variance scale of the data: project the
-    # centered-reduced bounds, i.e. sqrt(m) times the unit-norm ones.
+    # Scores live in the unit-variance scale of the data: sqrt(m) times z's.
     root_m = math.sqrt(bundle.z.shape[0])
-    score_bounds = BoundsPair(bundle.bounds.low * root_m, bundle.bounds.high * root_m)
-    scores = interval_project(score_bounds, u, rows=x.rows, cols=pcs)
-    correlations = interval_project(
-        bundle.bounds.transposed, v, rows=x.cols, cols=pcs
-    )
+    radius = (bundle.bounds.high - bundle.bounds.low) / 2.0
     center_scores = (root_m * bundle.z) @ u
     center_correlations = bundle.z.T @ v
+    scores = _spread(center_scores, root_m * radius, u, x.rows, pcs)
+    correlations = _spread(center_correlations, radius.T, v, x.cols, pcs)
     return PcaResult(
         eigenvalues=lam,
         loadings_u=u,
@@ -266,13 +270,12 @@ def interval_scores_raw(x: IntervalMatrix, q: int | None = None) -> IntervalMatr
     if m < 2:
         raise DataError(f"need at least 2 rows, got {m}")
     mids = centers_matrix(x)
-    means = mids.mean(axis=0)
-    centered = mids - means
+    centered = mids - mids.mean(axis=0)
     eig = eigen_sym(centered.T @ centered)
     q = _resolve_q(eig, q)
     u = eig.vectors[:, :q]
-    bounds = BoundsPair(x.lo - means, x.hi - means)
-    return interval_project(bounds, u, rows=x.rows, cols=_component_labels(q))
+    radius = (x.hi - x.lo) / 2.0
+    return _spread(centered @ u, radius, u, x.rows, _component_labels(q))
 
 
 def clamp_correlations(table: IntervalMatrix, limit: float = 1.0) -> IntervalMatrix:

@@ -191,6 +191,19 @@ class TestExitCodes:
             f"error: unreadable CSV at line 3: field larger than field limit ({limit})\n"
         )
 
+    def test_overflowing_column_is_2(self, tmp_path, capsys):
+        src = tmp_path / "huge.csv"
+        src.write_text(',x,y\na,"[1e200,1e200]","[1,1]"\nb,"[2e200,2e200]","[3,3]"\n'
+                       'c,"[4e200,4e200]","[2,2]"\n', encoding="utf-8")
+        code = main([
+            "pca", "--input", str(src), "--output", str(tmp_path / "o.json"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: column 'x' is too large in magnitude to standardize: "
+            "its midpoint mean or standard deviation overflows\n"
+        )
+
     def test_q_out_of_range_is_2(self, oils_csv, tmp_path):
         code = main([
             "pca", "--input", str(oils_csv), "--output",

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympca import (
     BoundsPair,
@@ -83,7 +85,40 @@ def _random_bounds(rng, m, n) -> BoundsPair:
     return BoundsPair(center - half, center + half)
 
 
+_coords = st.floats(-1e6, 1e6)
+_widths = st.one_of(st.just(0.0), st.floats(0.0, 1e6))
+_weights = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def _projection_cases(draw):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    q = draw(st.integers(1, 3))
+    low = np.array(draw(st.lists(_coords, min_size=m * n, max_size=m * n)))
+    width = np.array(draw(st.lists(_widths, min_size=m * n, max_size=m * n)))
+    w = np.array(draw(st.lists(_weights, min_size=n * q, max_size=n * q)))
+    low = low.reshape(m, n)
+    return BoundsPair(low, low + width.reshape(m, n)), w.reshape(n, q)
+
+
 class TestIntervalProject:
+    @settings(deadline=None, max_examples=300)
+    @given(_projection_cases())
+    def test_matches_vertex_oracle_property(self, case):
+        # Rounding error scales with the magnitudes summed, not with the
+        # result, which can cancel to zero.
+        bounds, w = case
+        out = interval_project(bounds, w)
+        scale = (np.abs(bounds.low) + np.abs(bounds.high)) @ np.abs(w)
+        m, q = out.shape
+        for i in range(m):
+            row = list(zip(bounds.low[i], bounds.high[i]))
+            for k in range(q):
+                expect = vertex_extremes(row, w[:, k])
+                assert abs(out.lo[i, k] - expect.lo) <= 1e-12 * scale[i, k]
+                assert abs(out.hi[i, k] - expect.hi) <= 1e-12 * scale[i, k]
+
     def test_degenerate_equals_dot_product(self):
         rng = np.random.default_rng(1)
         p = rng.normal(size=(4, 3))
@@ -108,8 +143,8 @@ class TestIntervalProject:
         rng = np.random.default_rng(42)
         bounds = _random_bounds(rng, 3, 2)
         w = np.array([[0.6], [-0.8], [0.0]])
-        out = interval_project(bounds.transposed, w)
-        cols = bounds.transposed
+        cols = BoundsPair(bounds.low.T, bounds.high.T)
+        out = interval_project(cols, w)
         for i in range(2):
             row = [Interval(cols.low[i, j], cols.high[i, j]) for j in range(3)]
             expect = vertex_extremes(row, w[:, 0])

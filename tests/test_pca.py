@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from helpers import (
     OILS_CENTER_CORR,
@@ -71,6 +74,19 @@ class TestStandardize:
         b = standardize(oils)
         mids = centers_matrix(oils)
         assert b.col_stds == pytest.approx(mids.std(axis=0, ddof=0))
+
+    def test_overflowing_column_named_in_error(self):
+        t = IntervalMatrix(
+            ("r", "s", "t"), ("x", "y"),
+            [[1e200, 1.0], [2e200, 3.0], [4e200, 2.0]],
+            [[1e200, 1.0], [2e200, 3.0], [4e200, 2.0]],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="column 'x' is too large"):
+                standardize(t)
+            with pytest.raises(DataError, match="column 'x' is too large"):
+                pca_auto(t)
 
     def test_constant_column_named_in_error(self):
         t = IntervalMatrix(
@@ -167,6 +183,56 @@ class TestContainment:
         assert np.all(res.center_correlations <= res.correlations.hi)
 
 
+@st.composite
+def _valid_tables(draw):
+    """Interval tables that ``standardize`` accepts: every midpoint column
+    has distinct entries; a few cells are degenerate."""
+    m = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 8))
+    columns = [
+        draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m, unique=True))
+        for _ in range(n)
+    ]
+    radii = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=m * n, max_size=m * n
+    ))
+    mids = np.array(columns).T
+    radius = np.array(radii).reshape(m, n)
+    table = IntervalMatrix(
+        tuple(f"r{i}" for i in range(m)), tuple(f"c{j}" for j in range(n)),
+        mids - radius, mids + radius,
+    )
+    try:
+        standardize(table)
+    except DataError:
+        reject()
+    return table
+
+
+class TestContainmentProperty:
+    @settings(deadline=None, max_examples=150)
+    @given(_valid_tables())
+    @example(IntervalMatrix(
+        ("r0", "r1", "r2"), ("c0", "c1"),
+        [[0.0, 0.0], [1.0, 1.0], [0.25, 0.5]], [[0.0, 0.0], [1.0, 1.0], [0.25, 0.5]],
+    ))
+    def test_centres_inside_without_slack(self, table):
+        res = pca_auto(table)
+        assert np.all(res.scores.lo <= res.center_scores)
+        assert np.all(res.center_scores <= res.scores.hi)
+        assert np.all(res.correlations.lo <= res.center_correlations)
+        assert np.all(res.center_correlations <= res.correlations.hi)
+
+    @settings(deadline=None, max_examples=150)
+    @given(_valid_tables())
+    def test_degenerate_endpoints_equal_centres(self, table):
+        res = pca_auto(_degenerate(table))
+        assert np.array_equal(res.scores.lo, res.center_scores)
+        assert np.array_equal(res.scores.hi, res.center_scores)
+        assert np.array_equal(res.correlations.lo, res.center_correlations)
+        assert np.array_equal(res.correlations.hi, res.center_correlations)
+
+
 class TestPathEquivalence:
     def test_oils_all_fields(self, oils):
         a = pca_zzt(oils)
@@ -220,6 +286,8 @@ class TestDegenerateReduction:
         res = pca_auto(table)
         assert np.array_equal(res.scores.lo, res.scores.hi)
         assert np.array_equal(res.correlations.lo, res.correlations.hi)
+        assert np.array_equal(res.scores.lo, res.center_scores)
+        assert np.array_equal(res.correlations.lo, res.center_correlations)
         # independent classical PCA of the midpoints via LAPACK
         mids = centers_matrix(oils)
         xs = (mids - mids.mean(axis=0)) / mids.std(axis=0)
