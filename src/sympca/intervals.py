@@ -8,7 +8,9 @@ c·w ± r·|w| (midpoint-radius interval arithmetic), with c the cell midpoints
 and r the cell half-widths; its endpoints are attained at the vertices
 picked by the signs of w's entries.
 
-``interval_project`` computes those extremes in closed form;
+The PCA pipeline spreads its scores in that centre-radius form (``_spread``);
+``interval_project`` computes the same extremes from the sign-picked vertex
+bounds, product for product as the vertices give them;
 ``vertex_extremes`` recomputes them by brute-force vertex enumeration and
 serves as the independent test oracle.
 """
@@ -234,11 +236,16 @@ def interval_project(
         raise DataError(
             f"non-conformable shapes: bounds {bounds.shape} vs weights {w.shape}"
         )
-    centre = (bounds.low + bounds.high) / 2.0
-    radius = (bounds.high - bounds.low) / 2.0
+    # Sign-split bounds form the same products p_j * w_jk as the vertices do,
+    # so the ends stay exact down to subnormal magnitudes, where halving the
+    # cells into centre and radius would round away the last bit.
+    pos = np.maximum(w, 0.0)
+    neg = np.minimum(w, 0.0)
+    lo = bounds.low @ pos + bounds.high @ neg
+    hi = bounds.high @ pos + bounds.low @ neg
     row_labels = _default_labels("r", m) if rows is None else tuple(rows)
     col_labels = _default_labels("c", w.shape[1]) if cols is None else tuple(cols)
-    return _spread(centre @ w, radius, w, row_labels, col_labels)
+    return IntervalMatrix(row_labels, col_labels, lo, hi)
 
 
 def vertex_extremes(bounds_row: Sequence, weight) -> Interval:

@@ -3,21 +3,23 @@
 The pipeline: take the midpoint of every interval cell, standardize the
 midpoint matrix to Z (zero-mean, unit-norm columns, so Zt·Z is the midpoint
 correlation matrix), and eigendecompose either Z·Zt (``pca_zzt``) or Zt·Z
-(``pca_ztz``). Each path solves one eigenproblem with ``eigen_sym`` and
-recovers the other eigenvector family with one ``dual_transport`` call
-(U = Zt·V / sqrt(lam), or V = Z·U / sqrt(lam)), then spreads each classical
-(midpoint) value by the interval radii projected onto |eigenvectors|:
+(``pca_ztz``). One body serves both routes: with A = Z or A = Zt it solves
+the eigenproblem of A·At with ``eigen_sym`` and recovers the other
+eigenvector family with ``dual_transport(A, ...)`` (U = Zt·V / sqrt(lam), or
+V = Z·U / sqrt(lam)), then spreads each classical (midpoint) value by the
+interval radii projected onto |eigenvectors|:
 
 * interval scores of the objects: Z·U (in the unit-variance scale of the
   data) ± the object rows' radii projected onto |U|,
 * interval correlations of the variables: Zt·V ± the variable columns'
   radii projected onto |V|.
 
-``pca_auto`` picks whichever path has the smaller eigenproblem. Both paths
-orient each component by the canonical sign rule applied to U, so they
-agree on every output up to roundoff (for separated eigenvalues). Midpoint
-(classical) scores and correlations lie inside their interval counterparts
-exactly, and on degenerate input they equal both endpoints bit for bit.
+``pca_auto`` picks whichever path has the smaller eigenproblem. Each
+component is oriented in one place, by the canonical sign rule applied to U,
+so the routes agree on every output up to roundoff (for separated
+eigenvalues). Midpoint (classical) scores and correlations lie inside their
+interval counterparts exactly, and on degenerate input they equal both
+endpoints bit for bit.
 
 Interval correlations are stored raw. Hypercube vertices can leave the unit
 ball, so an endpoint can exceed 1 in magnitude; ``clamp_correlations``
@@ -100,6 +102,12 @@ def centers_matrix(x: IntervalMatrix) -> np.ndarray:
     return (x.lo + x.hi) / 2.0
 
 
+def _refuse_column(x: IntervalMatrix, bad: np.ndarray, reason: str) -> None:
+    """Raise DataError naming the first column flagged in ``bad``."""
+    if bad.any():
+        raise DataError(f"column {x.cols[int(np.argmax(bad))]!r} {reason}")
+
+
 def standardize(x: IntervalMatrix) -> StandardizedBundle:
     """Center and reduce the midpoint matrix, mapping bounds alongside.
 
@@ -108,7 +116,9 @@ def standardize(x: IntervalMatrix) -> StandardizedBundle:
     map is applied to the lower and upper bounds. Every column of z then has
     zero mean and unit norm, and Zt·Z is the midpoint correlation matrix.
 
-    Raises DataError when m < 2 or a midpoint column is constant or overflows.
+    Raises DataError when m < 2, or when a midpoint column is constant, its
+    variance underflows, its mean or std overflows, or its mapped bounds
+    overflow.
     """
     m = x.shape[0]
     if m < 2:
@@ -118,27 +128,29 @@ def standardize(x: IntervalMatrix) -> StandardizedBundle:
         means = mids.mean(axis=0)
         stds = mids.std(axis=0)
         # The range test catches constant columns whose std rounds to a tiny
-        # non-zero value.
-        constant = (stds == 0.0) | (np.ptp(mids, axis=0) == 0.0)
-    if np.any(constant):
-        j = int(np.argmax(constant))
-        raise DataError(
-            f"column {x.cols[j]!r} is constant (zero variance); "
-            "it cannot be standardized"
-        )
-    overflow = ~(np.isfinite(means) & np.isfinite(stds))
-    if np.any(overflow):
-        raise DataError(
-            f"column {x.cols[int(np.argmax(overflow))]!r} is too large in magnitude "
-            "to standardize: its midpoint mean or standard deviation overflows"
-        )
-    scale = 1.0 / (math.sqrt(m) * stds)
-    z = (mids - means) * scale
-    low = (x.lo - means) * scale
-    high = (x.hi - means) * scale
+        # non-zero value; a zero std over a non-zero range is an underflow.
+        _refuse_column(x, np.ptp(mids, axis=0) == 0.0,
+                       "is constant (zero variance); it cannot be standardized")
+        _refuse_column(x, stds == 0.0, "cannot be standardized: its midpoints "
+                       "differ, but their variance underflows to zero")
+        _refuse_column(x, ~(np.isfinite(means) & np.isfinite(stds)),
+                       "is too large in magnitude to standardize: its midpoint "
+                       "mean or standard deviation overflows")
+        scale = 1.0 / (math.sqrt(m) * stds)
+        z = (mids - means) * scale
+        low = (x.lo - means) * scale
+        high = (x.hi - means) * scale
+    try:
+        bounds = BoundsPair(low, high)
+    except DataError:
+        # BoundsPair refuses non-finite bounds; name the column that overflowed.
+        _refuse_column(x, ~(np.isfinite(low) & np.isfinite(high)).all(axis=0),
+                       "is too large in magnitude to standardize: its interval "
+                       "bounds overflow when standardized")
+        raise
     return StandardizedBundle(
         z=z,
-        bounds=BoundsPair(low, high),
+        bounds=bounds,
         col_means=means,
         col_stds=stds,
     )
@@ -176,20 +188,32 @@ def _resolve_q(eig: EigenDecomposition, q: int | None) -> int:
     return q
 
 
-def _assemble(
-    x: IntervalMatrix,
-    bundle: StandardizedBundle,
-    lam: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    method: str,
-) -> PcaResult:
-    pcs = _component_labels(lam.size)
+def _duality_pca(x: IntervalMatrix, q: int | None, route: str) -> PcaResult:
+    """The one body behind both routes: solve the Gram product of
+    A = Z (``"zzt"``) or A = Zt (``"ztz"``), carry the solved family across
+    with ``dual_transport(A, ...)``, orient by U, and spread the centres."""
+    bundle = standardize(x)
+    z = bundle.z
+    a, other = (z, "ztz") if route == "zzt" else (z.T, "zzt")
+    _check_gram_size(f"the {route} route", a.shape[0], (other, a.shape[1]))
+    eig = eigen_sym(a @ a.T)
+    q = _resolve_q(eig, q)
+    lam = eig.values[:q].copy()
+    solved = eig.vectors[:, :q].copy()
+    carried = dual_transport(a, solved, lam)
+    u, v = (carried, solved) if route == "zzt" else (solved, carried)
+    # Orient each component by the sign rule on U and flip V alongside, so
+    # each column pair stays a transport pair. The ztz route's solved U is
+    # already canonical, so its factors are all 1.0 and change no bit.
+    signs = _canonical_signs(u)
+    u *= signs
+    v *= signs
+    pcs = _component_labels(q)
     # Scores live in the unit-variance scale of the data: sqrt(m) times z's.
-    root_m = math.sqrt(bundle.z.shape[0])
+    root_m = math.sqrt(z.shape[0])
     radius = (bundle.bounds.high - bundle.bounds.low) / 2.0
-    center_scores = (root_m * bundle.z) @ u
-    center_correlations = bundle.z.T @ v
+    center_scores = (root_m * z) @ u
+    center_correlations = z.T @ v
     scores = _spread(center_scores, root_m * radius, u, x.rows, pcs)
     correlations = _spread(center_correlations, radius.T, v, x.cols, pcs)
     return PcaResult(
@@ -200,7 +224,7 @@ def _assemble(
         correlations=correlations,
         center_scores=center_scores,
         center_correlations=center_correlations,
-        method_used=method,
+        method_used=route,
     )
 
 
@@ -212,18 +236,7 @@ def pca_zzt(x: IntervalMatrix, q: int | None = None) -> PcaResult:
     Zt·V / sqrt(lam). Components are oriented by U, as in ``pca_ztz``.
     Raises DataError when the m x m product would exceed GRAM_LIMIT_BYTES.
     """
-    bundle = standardize(x)
-    m, n = bundle.z.shape
-    _check_gram_size("the zzt route", m, ("ztz", n))
-    eig = eigen_sym(bundle.z @ bundle.z.T)
-    q = _resolve_q(eig, q)
-    lam = eig.values[:q].copy()
-    v = eig.vectors[:, :q].copy()
-    u = dual_transport(bundle.z, v, lam)
-    # Orient each component by the sign rule on U, as ``pca_ztz``'s solved U
-    # is, and flip V alongside so each column pair stays a transport pair.
-    signs = _canonical_signs(u)
-    return _assemble(x, bundle, lam, u * signs, v * signs, "zzt")
+    return _duality_pca(x, q, "zzt")
 
 
 def pca_ztz(x: IntervalMatrix, q: int | None = None) -> PcaResult:
@@ -233,15 +246,7 @@ def pca_ztz(x: IntervalMatrix, q: int | None = None) -> PcaResult:
     transport Z·U / sqrt(lam). Raises DataError when the n x n product would
     exceed GRAM_LIMIT_BYTES.
     """
-    bundle = standardize(x)
-    m, n = bundle.z.shape
-    _check_gram_size("the ztz route", n, ("zzt", m))
-    eig = eigen_sym(bundle.z.T @ bundle.z)
-    q = _resolve_q(eig, q)
-    lam = eig.values[:q].copy()
-    u = eig.vectors[:, :q].copy()
-    v = dual_transport(bundle.z.T, u, lam)
-    return _assemble(x, bundle, lam, u, v, "ztz")
+    return _duality_pca(x, q, "ztz")
 
 
 def pca_auto(x: IntervalMatrix, q: int | None = None) -> PcaResult:
@@ -252,7 +257,7 @@ def pca_auto(x: IntervalMatrix, q: int | None = None) -> PcaResult:
     (``pca_ztz``). Both paths produce the same numbers.
     """
     m, n = x.shape
-    return pca_zzt(x, q) if m <= n else pca_ztz(x, q)
+    return _duality_pca(x, q, "zzt" if m <= n else "ztz")
 
 
 def interval_scores_raw(x: IntervalMatrix, q: int | None = None) -> IntervalMatrix:
@@ -278,13 +283,13 @@ def interval_scores_raw(x: IntervalMatrix, q: int | None = None) -> IntervalMatr
     return _spread(centered @ u, radius, u, x.rows, _component_labels(q))
 
 
-def clamp_correlations(table: IntervalMatrix, limit: float = 1.0) -> IntervalMatrix:
-    """Clip interval endpoints to [-limit, limit] (default the unit ball)."""
+def clamp_correlations(table: IntervalMatrix) -> IntervalMatrix:
+    """Clip interval endpoints to the unit ball [-1, 1]."""
     return IntervalMatrix(
         table.rows,
         table.cols,
-        np.clip(table.lo, -limit, limit),
-        np.clip(table.hi, -limit, limit),
+        np.clip(table.lo, -1.0, 1.0),
+        np.clip(table.hi, -1.0, 1.0),
     )
 
 
@@ -353,5 +358,6 @@ def result_to_dict(result: PcaResult, clamp: bool = True) -> dict:
     }
 
 
-def result_to_json(result: PcaResult, clamp: bool = True, indent: int = 2) -> str:
-    return json.dumps(result_to_dict(result, clamp=clamp), indent=indent)
+def result_to_json(result: PcaResult, clamp: bool = True) -> str:
+    """``result_to_dict`` as JSON text indented by two spaces."""
+    return json.dumps(result_to_dict(result, clamp=clamp), indent=2)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sympca import NumericError, load_oils_table, parse_interval_csv, write_interval_csv
-from sympca.cli import RunConfig, main, run
+from sympca.cli import main
 
 
 @pytest.fixture()
@@ -49,6 +49,21 @@ class TestAggregate:
         assert code == 0
         table = parse_interval_csv(out.read_text(encoding="utf-8"))
         assert table.cols == ("x", "y")
+
+    @pytest.mark.parametrize("name", ["nosuch", "state"])
+    def test_exclude_unknown_or_concept_column_is_2(self, name, tmp_path, capsys):
+        # The --by column is not a data column of the aggregated table, so
+        # naming it is an error like any other unknown name.
+        src = tmp_path / "classic.csv"
+        src.write_text(CLASSIC, encoding="utf-8")
+        out = tmp_path / "intervals.csv"
+        code = main([
+            "aggregate", "--input", str(src), "--output", str(out),
+            "--by", "state", "--exclude-cols", f"fold,{name}",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: no column named {name!r}\n"
+        assert not out.exists()
 
 
 class TestPcaCommand:
@@ -204,6 +219,27 @@ class TestExitCodes:
             "its midpoint mean or standard deviation overflows\n"
         )
 
+    @pytest.mark.parametrize("cells, message", [
+        (("[0,0]", "[1e-150,1e-150]", "[-1e308,1e308]"),
+         "is too large in magnitude to standardize: its interval bounds overflow "
+         "when standardized"),
+        (("[0,0]", "[5e-301,5e-301]", "[0,0]"),
+         "cannot be standardized: its midpoints differ, but their variance "
+         "underflows to zero"),
+    ], ids=["bounds-overflow", "variance-underflow"])
+    def test_unstandardizable_column_is_2(self, cells, message, tmp_path, capsys):
+        rows = "".join(
+            f'{label},"{cell}","[{y},{y}]"\n'
+            for label, cell, y in zip("abc", cells, (1, 3, 2))
+        )
+        src = tmp_path / "edge.csv"
+        src.write_text(",x,y\n" + rows, encoding="utf-8")
+        code = main([
+            "pca", "--input", str(src), "--output", str(tmp_path / "o.json"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: column 'x' {message}\n"
+
     def test_q_out_of_range_is_2(self, oils_csv, tmp_path):
         code = main([
             "pca", "--input", str(oils_csv), "--output",
@@ -227,9 +263,7 @@ class TestExitCodes:
         def boom(table, q=None):
             raise NumericError("synthetic numerical failure")
 
-        monkeypatch.setitem(
-            cli_mod._run_pca.__globals__, "pca_auto", boom
-        )
+        monkeypatch.setattr(cli_mod, "pca_auto", boom)
         code = main([
             "pca", "--input", str(oils_csv), "--output", str(tmp_path / "o.json"),
         ])
@@ -244,12 +278,9 @@ class TestExitCodes:
         def boom(table, q=None):
             raise RuntimeError("synthetic bug")
 
-        monkeypatch.setitem(cli_mod._run_pca.__globals__, "pca_auto", boom)
+        monkeypatch.setattr(cli_mod, "pca_auto", boom)
         code = main([
             "pca", "--input", str(oils_csv), "--output", str(tmp_path / "o.json"),
         ])
         assert code == 3
         assert capsys.readouterr().err == "error: internal error: synthetic bug\n"
-
-    def test_run_rejects_unknown_command(self, capsys):
-        assert run(RunConfig(command="explode")) == 1

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -86,6 +86,28 @@ class TestStandardize:
             with pytest.raises(DataError, match="column 'x' is too large"):
                 standardize(t)
             with pytest.raises(DataError, match="column 'x' is too large"):
+                pca_auto(t)
+
+    @pytest.mark.parametrize("mids, lo, hi, match", [
+        # Midpoint std is finite, but one wide cell overflows once scaled.
+        ((0.0, 1e-150, 0.0), -1e308, 1e308,
+         "column 'x' is too large in magnitude to standardize: its interval "
+         "bounds overflow"),
+        # The midpoints differ, yet their squared deviations underflow.
+        ((0.0, 5e-301, 0.0), 0.0, 0.0,
+         "column 'x' cannot be standardized: its midpoints differ, but their "
+         "variance underflows to zero"),
+    ], ids=["bounds-overflow", "variance-underflow"])
+    def test_numeric_edge_named_in_error(self, mids, lo, hi, match):
+        low = np.array([[mids[0], 1.0], [mids[1], 3.0], [mids[2], 2.0]])
+        high = low.copy()
+        low[2, 0], high[2, 0] = lo, hi
+        t = IntervalMatrix(("r", "s", "t"), ("x", "y"), low, high)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=match):
+                standardize(t)
+            with pytest.raises(DataError, match=match):
                 pca_auto(t)
 
     def test_constant_column_named_in_error(self):
@@ -231,6 +253,87 @@ class TestContainmentProperty:
         assert np.array_equal(res.scores.hi, res.center_scores)
         assert np.array_equal(res.correlations.lo, res.center_correlations)
         assert np.array_equal(res.correlations.hi, res.center_correlations)
+
+
+def _gapped(res) -> bool:
+    """Every kept eigenvalue lies at least 1e-3 * lam_1 above the next one
+    (the last kept one above zero)."""
+    lam = res.eigenvalues
+    return bool(np.all(-np.diff(np.append(lam, 0.0)) >= 1e-3 * lam[0]))
+
+
+def _relative_errors(res, other, corr_lo, corr_hi) -> tuple[float, float, float]:
+    """Eigenvalue, score and correlation differences of ``other`` from
+    ``res`` (with correlations expected at corr_lo/corr_hi), each after
+    per-component sign alignment and relative to the largest entry."""
+    def scale(table):
+        return max(1.0, np.abs(table.lo).max(), np.abs(table.hi).max())
+
+    return (
+        np.abs(other.eigenvalues - res.eigenvalues).max() / res.eigenvalues[0],
+        aligned_interval_error(other.scores, res.scores.lo, res.scores.hi)
+        / scale(res.scores),
+        aligned_interval_error(other.correlations, corr_lo, corr_hi)
+        / scale(res.correlations),
+    )
+
+
+# Shrunk counterexamples to the preconditions of the positive map: a tied
+# spectrum (any rotation of the tied pair is an eigenbasis, and the mapped
+# table picks another one), and a column that b turns constant. Both are
+# rejected, so loosening either precondition fails on them.
+_TIED = IntervalMatrix(
+    ("r0", "r1", "r2"), ("c0", "c1", "c2"),
+    [[0.0, 0.0, 1.0], [1.0, 5e-324, 5.11652694e-189], [5e-324, 1.0, 0.0]],
+    [[0.0, 0.0, 1.0], [1.0, 5e-324, 5.11652694e-189], [5e-324, 1.0, 0.0]],
+)
+_TINY = IntervalMatrix(("r0", "r1"), ("c0",), [[0.0], [2.59637677e-33]],
+                       [[0.0], [2.59637677e-33]])
+
+
+class TestAffineEquivariance:
+    # Eigenvectors are defined only up to the eigengap: by Davis-Kahan a
+    # perturbation of size e turns them by about e / gap, and within a tied
+    # pair any rotation is as valid. The roundoff of the mapped column is
+    # such a perturbation, so both properties take only spectra whose kept
+    # eigenvalues are gapped (_gapped). For the positive map, the column's
+    # midpoint spread must also stay well above its magnitude and |b| / a,
+    # or the map's own roundoff, not the method, sets the result.
+    TOL = 1e-8
+
+    @settings(deadline=None, max_examples=150)
+    @given(_valid_tables(), st.integers(0, 7), st.floats(1e-3, 1e3),
+           st.floats(-1e3, 1e3))
+    @example(_TIED, 0, 1.0, 1.0)
+    @example(_TINY, 0, 1.0, 1.0)
+    def test_positive_map_changes_nothing(self, table, j, a, b):
+        j %= table.shape[1]
+        res = pca_auto(table)
+        assume(_gapped(res))
+        magnitude = max(np.abs(table.lo[:, j]).max(), np.abs(table.hi[:, j]).max())
+        assume(centers_matrix(table)[:, j].std() >= 1e-3 * (abs(b) / a + magnitude))
+        lo, hi = table.lo.copy(), table.hi.copy()
+        lo[:, j] = a * lo[:, j] + b
+        hi[:, j] = a * hi[:, j] + b
+        mapped = pca_auto(IntervalMatrix(table.rows, table.cols, lo, hi),
+                          q=res.eigenvalues.size)
+        errors = _relative_errors(res, mapped, res.correlations.lo, res.correlations.hi)
+        assert max(errors) <= self.TOL
+
+    @settings(deadline=None, max_examples=150)
+    @given(_valid_tables(), st.integers(0, 7))
+    def test_negation_mirrors_the_column_correlation(self, table, j):
+        j %= table.shape[1]
+        res = pca_auto(table)
+        assume(_gapped(res))
+        lo, hi = table.lo.copy(), table.hi.copy()
+        lo[:, j], hi[:, j] = -table.hi[:, j], -table.lo[:, j]
+        negated = pca_auto(IntervalMatrix(table.rows, table.cols, lo, hi),
+                           q=res.eigenvalues.size)
+        # Column j's correlation interval [l, h] becomes [-h, -l].
+        corr_lo, corr_hi = res.correlations.lo.copy(), res.correlations.hi.copy()
+        corr_lo[j], corr_hi[j] = -res.correlations.hi[j], -res.correlations.lo[j]
+        assert max(_relative_errors(res, negated, corr_lo, corr_hi)) <= self.TOL
 
 
 class TestPathEquivalence:
