@@ -17,18 +17,15 @@ from .intervals import (
     interval_project,
     vertex_extremes,
 )
-from .linalg import EigenDecomposition, dual_transport, eigen_sym
+from .linalg import dual_transport, eigen_sym
 from .pca import (
     PcaResult,
-    StandardizedBundle,
     centers_matrix,
     clamp_correlations,
     flip_component,
-    interval_scores_raw,
     pca_auto,
     pca_ztz,
     pca_zzt,
-    result_to_dict,
     result_to_json,
     standardize,
 )
@@ -48,13 +45,11 @@ __all__ = [
     "BoundsPair",
     "ClassicTable",
     "DataError",
-    "EigenDecomposition",
     "Interval",
     "IntervalMatrix",
     "NumericError",
     "PcaResult",
     "PlotSpec",
-    "StandardizedBundle",
     "aggregate_classic",
     "benchmark_paths",
     "centers_matrix",
@@ -63,7 +58,6 @@ __all__ = [
     "eigen_sym",
     "flip_component",
     "interval_project",
-    "interval_scores_raw",
     "load_oils_table",
     "parse_classic_csv",
     "parse_interval_csv",
@@ -73,7 +67,6 @@ __all__ = [
     "random_interval_table",
     "render_circle",
     "render_plane",
-    "result_to_dict",
     "result_to_json",
     "standardize",
     "vertex_extremes",

@@ -61,21 +61,6 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
-    def mid(self) -> float:
-        return (self.lo + self.hi) / 2.0
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.lo == self.hi
-
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     def __repr__(self) -> str:
         return f"[{self.lo!r}, {self.hi!r}]"
 

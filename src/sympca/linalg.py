@@ -7,9 +7,9 @@ U back to V = Z·U / sqrt(lam). Whichever product is smaller can therefore be
 decomposed, with the other family recovered by one matrix product.
 
 ``eigen_sym`` calls LAPACK (``numpy.linalg.eigh``) at every size. Eigenpairs
-are returned sorted by descending eigenvalue, each eigenvector oriented so
-its entry of largest magnitude is positive; entries within a relative 1e-12
-of that magnitude count as tied, and ties are broken by the lowest index.
+are returned sorted by descending eigenvalue, each eigenvector with the sign
+LAPACK gives it: an eigenvector has no intrinsic sign, and ``sympca.pca``
+orients each principal component once, by its variable-side vector U.
 Repeat runs on the same machine and BLAS build are byte-identical.
 """
 
@@ -32,10 +32,6 @@ __all__ = [
 # of the largest eigenvalue.
 DEFAULT_RANK_TOL = 1e-10
 
-# Eigenvector entries this close (relative) to the largest magnitude tie for
-# the sign pivot, so rounding noise cannot pick among equal entries.
-_SIGN_TIE_RTOL = 1e-12
-
 # Eigenvalues at or below this are null-space directions the transport
 # cannot cross.
 _NULL_TOL = 1e-12
@@ -57,23 +53,12 @@ class EigenDecomposition:
         return int(np.sum(self.values > DEFAULT_RANK_TOL * self.values[0]))
 
 
-def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    """Per-column factor of -1 or 1 that makes each column's sign pivot,
-    its lowest-index entry of (tied) largest magnitude, positive."""
-    if vectors.size == 0:
-        return np.ones(vectors.shape[1])
-    mags = np.abs(vectors)
-    tied = mags >= mags.max(axis=0) * (1.0 - _SIGN_TIE_RTOL)
-    pivots = np.argmax(tied, axis=0)
-    pivot_values = vectors[pivots, np.arange(vectors.shape[1])]
-    return np.where(pivot_values < 0, -1.0, 1.0)
-
-
 def eigen_sym(a: np.ndarray) -> EigenDecomposition:
     """Full spectral decomposition of a square symmetric matrix.
 
-    Asymmetry above 1e-12 relative to the largest entry is a DataError; a
-    LAPACK failure is a NumericError.
+    Values come sorted descending, vectors with LAPACK's signs. Asymmetry
+    above 1e-12 relative to the largest entry is a DataError; a LAPACK
+    failure is a NumericError.
     """
     mat = np.asarray(a, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -93,8 +78,7 @@ def eigen_sym(a: np.ndarray) -> EigenDecomposition:
         raise NumericError(f"eigendecomposition failed: {exc}") from None
 
     order = np.argsort(-values, kind="stable")
-    vectors = vectors[:, order]
-    return EigenDecomposition(values[order], vectors * _canonical_signs(vectors))
+    return EigenDecomposition(values[order], vectors[:, order])
 
 
 def dual_transport(z: np.ndarray, vectors: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -112,6 +96,10 @@ def dual_transport(z: np.ndarray, vectors: np.ndarray, lam: np.ndarray) -> np.nd
     if vectors.shape[0] != z.shape[0]:
         raise DataError(
             f"vector length {vectors.shape[0]} does not match row count {z.shape[0]}"
+        )
+    if lam.shape != (vectors.shape[1],):
+        raise DataError(
+            f"lam has length {lam.size}, but vectors has {vectors.shape[1]} columns"
         )
     if np.any(lam <= _NULL_TOL):
         raise NumericError(

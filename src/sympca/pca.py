@@ -14,9 +14,11 @@ interval radii projected onto |eigenvectors|:
 * interval correlations of the variables: Zt·V ± the variable columns'
   radii projected onto |V|.
 
-``pca_auto`` picks whichever path has the smaller eigenproblem. Each
-component is oriented in one place, by the canonical sign rule applied to U,
-so the routes agree on every output up to roundoff (for separated
+``pca_auto`` picks whichever path has the smaller eigenproblem. ``eigen_sym``
+leaves LAPACK's signs; each component is oriented here, once, by the sign
+rule on U (its entry of largest magnitude is made positive; entries within a
+relative 1e-12 of it tie, and the lowest index wins) with V flipped
+alongside, so the routes agree on every output up to roundoff (for separated
 eigenvalues). Midpoint (classical) scores and correlations lie inside their
 interval counterparts exactly, and on degenerate input they equal both
 endpoints bit for bit.
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import DataError
 from .intervals import BoundsPair, IntervalMatrix, _spread
-from .linalg import EigenDecomposition, _canonical_signs, dual_transport, eigen_sym
+from .linalg import EigenDecomposition, dual_transport, eigen_sym
 
 __all__ = [
     "StandardizedBundle",
@@ -46,10 +48,8 @@ __all__ = [
     "pca_zzt",
     "pca_ztz",
     "pca_auto",
-    "interval_scores_raw",
     "clamp_correlations",
     "flip_component",
-    "result_to_dict",
     "result_to_json",
 ]
 
@@ -59,6 +59,10 @@ _COMPONENT_PREFIX = "PC"
 # a side of at most 11585. Past it the process is more likely killed for
 # memory than finished, so the route raises DataError instead.
 GRAM_LIMIT_BYTES = 1 << 30
+
+# Eigenvector entries this close (relative) to the largest magnitude tie for
+# the sign pivot, so rounding noise cannot pick among equal entries.
+_SIGN_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +77,6 @@ class StandardizedBundle:
 
     z: np.ndarray
     bounds: BoundsPair
-    col_means: np.ndarray
-    col_stds: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,28 +150,22 @@ def standardize(x: IntervalMatrix) -> StandardizedBundle:
                        "is too large in magnitude to standardize: its interval "
                        "bounds overflow when standardized")
         raise
-    return StandardizedBundle(
-        z=z,
-        bounds=bounds,
-        col_means=means,
-        col_stds=stds,
-    )
+    return StandardizedBundle(z=z, bounds=bounds)
 
 
-def _check_gram_size(owner: str, side: int, other: tuple[str, int] | None = None) -> None:
-    """Raise DataError when ``owner``'s side x side Gram product would exceed
-    GRAM_LIMIT_BYTES; ``other`` names a route and its side, pointed at when
-    its product is smaller."""
+def _check_gram_size(route: str, side: int, other: str, other_side: int) -> None:
+    """Raise DataError when ``route``'s side x side Gram product would exceed
+    GRAM_LIMIT_BYTES, pointing at the ``other`` route when its product is
+    smaller."""
     size = 8 * side * side
     if size <= GRAM_LIMIT_BYTES:
         return
     message = (
-        f"{owner} would form a {side}x{side} Gram matrix of "
+        f"the {route} route would form a {side}x{side} Gram matrix of "
         f"{size:,} bytes, over the limit of {GRAM_LIMIT_BYTES:,} bytes"
     )
-    if other is not None and other[1] < side:
-        route, other_side = other
-        message += f"; the {route} route's {other_side}x{other_side} one is smaller"
+    if other_side < side:
+        message += f"; the {other} route's {other_side}x{other_side} one is smaller"
     raise DataError(message)
 
 
@@ -188,6 +184,18 @@ def _resolve_q(eig: EigenDecomposition, q: int | None) -> int:
     return q
 
 
+def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
+    """Per-column factor of -1 or 1 that makes each column's sign pivot,
+    its lowest-index entry of (tied) largest magnitude, positive."""
+    if vectors.size == 0:
+        return np.ones(vectors.shape[1])
+    mags = np.abs(vectors)
+    tied = mags >= mags.max(axis=0) * (1.0 - _SIGN_TIE_RTOL)
+    pivots = np.argmax(tied, axis=0)
+    pivot_values = vectors[pivots, np.arange(vectors.shape[1])]
+    return np.where(pivot_values < 0, -1.0, 1.0)
+
+
 def _duality_pca(x: IntervalMatrix, q: int | None, route: str) -> PcaResult:
     """The one body behind both routes: solve the Gram product of
     A = Z (``"zzt"``) or A = Zt (``"ztz"``), carry the solved family across
@@ -195,7 +203,7 @@ def _duality_pca(x: IntervalMatrix, q: int | None, route: str) -> PcaResult:
     bundle = standardize(x)
     z = bundle.z
     a, other = (z, "ztz") if route == "zzt" else (z.T, "zzt")
-    _check_gram_size(f"the {route} route", a.shape[0], (other, a.shape[1]))
+    _check_gram_size(route, a.shape[0], other, a.shape[1])
     eig = eigen_sym(a @ a.T)
     q = _resolve_q(eig, q)
     lam = eig.values[:q].copy()
@@ -203,8 +211,7 @@ def _duality_pca(x: IntervalMatrix, q: int | None, route: str) -> PcaResult:
     carried = dual_transport(a, solved, lam)
     u, v = (carried, solved) if route == "zzt" else (solved, carried)
     # Orient each component by the sign rule on U and flip V alongside, so
-    # each column pair stays a transport pair. The ztz route's solved U is
-    # already canonical, so its factors are all 1.0 and change no bit.
+    # each column pair stays a transport pair.
     signs = _canonical_signs(u)
     u *= signs
     v *= signs
@@ -258,29 +265,6 @@ def pca_auto(x: IntervalMatrix, q: int | None = None) -> PcaResult:
     """
     m, n = x.shape
     return _duality_pca(x, q, "zzt" if m <= n else "ztz")
-
-
-def interval_scores_raw(x: IntervalMatrix, q: int | None = None) -> IntervalMatrix:
-    """Centers-only interval scores: no reduction, covariance eigenvectors.
-
-    Centers the midpoint matrix by column means, eigendecomposes the raw
-    cross-product (the covariance matrix up to a factor of m), and projects
-    the centered interval bounds onto its eigenvectors. This is the original
-    midpoint method the duality pipeline extends; kept for comparison.
-
-    Raises DataError when the n x n product would exceed GRAM_LIMIT_BYTES.
-    """
-    m, n = x.shape
-    _check_gram_size("interval_scores_raw", n)
-    if m < 2:
-        raise DataError(f"need at least 2 rows, got {m}")
-    mids = centers_matrix(x)
-    centered = mids - mids.mean(axis=0)
-    eig = eigen_sym(centered.T @ centered)
-    q = _resolve_q(eig, q)
-    u = eig.vectors[:, :q]
-    radius = (x.hi - x.lo) / 2.0
-    return _spread(centered @ u, radius, u, x.rows, _component_labels(q))
 
 
 def clamp_correlations(table: IntervalMatrix) -> IntervalMatrix:
@@ -338,12 +322,13 @@ def _matrix_payload(rows, cols, values: np.ndarray) -> dict:
     return {"rows": list(rows), "cols": list(cols), "values": values.tolist()}
 
 
-def result_to_dict(result: PcaResult, clamp: bool = True) -> dict:
-    """JSON-ready mapping; correlations are clamped unless ``clamp=False``."""
+def result_to_json(result: PcaResult, clamp: bool = True) -> str:
+    """The result as JSON text indented by two spaces; correlations are
+    clamped unless ``clamp=False``."""
     correlations = (
         clamp_correlations(result.correlations) if clamp else result.correlations
     )
-    return {
+    return json.dumps({
         "method_used": result.method_used,
         "eigenvalues": result.eigenvalues.tolist(),
         "scores": _interval_payload(result.scores),
@@ -355,9 +340,4 @@ def result_to_dict(result: PcaResult, clamp: bool = True) -> dict:
             result.correlations.rows, result.correlations.cols,
             result.center_correlations,
         ),
-    }
-
-
-def result_to_json(result: PcaResult, clamp: bool = True) -> str:
-    """``result_to_dict`` as JSON text indented by two spaces."""
-    return json.dumps(result_to_dict(result, clamp=clamp), indent=2)
+    }, indent=2)

@@ -365,42 +365,31 @@ def parse_classic_csv(text: str, concept: str | None = None) -> ClassicTable:
     )
 
 
-def _label_from_number(x: float) -> str:
-    text = repr(float(x))
-    return text[:-2] if text.endswith(".0") else text
-
-
 def aggregate_classic(table: ClassicTable, concept_col: str) -> IntervalMatrix:
-    """Collapse a classic table into an interval table by a concept column.
+    """Collapse a classic table into an interval table by its concept column.
 
-    One output row per distinct concept value, in order of first appearance;
-    each cell is the [min, max] of the group's values in that column. The
-    concept column itself is excluded from the output.
+    ``concept_col`` must name the designated concept column; rows are grouped
+    by its text. One output row per distinct label, in order of first
+    appearance; each cell is the [min, max] of the group's values.
     """
     if len(table.rows) == 0:
         raise DataError("cannot aggregate an empty table")
-    if table.concept == concept_col:
-        group_keys = list(table.concept_labels)
-        data_cols = list(table.cols)
-        data = table.values
-    elif concept_col in table.cols:
-        j = table.cols.index(concept_col)
-        group_keys = [_label_from_number(v) for v in table.values[:, j]]
-        keep = [k for k in range(len(table.cols)) if k != j]
-        data_cols = [table.cols[k] for k in keep]
-        data = table.values[:, keep]
-    else:
+    if table.concept != concept_col:
+        if concept_col in table.cols:
+            raise DataError(
+                f"column {concept_col!r} is numeric data, not the concept column: "
+                f"parse the file with concept={concept_col!r} to group by its text"
+            )
         raise DataError(f"concept column {concept_col!r} not found")
-
     index: dict[str, int] = {}
     group = np.fromiter(
-        (index.setdefault(key, len(index)) for key in group_keys),
+        (index.setdefault(key, len(index)) for key in table.concept_labels),
         np.intp,
-        count=len(group_keys),
+        count=len(table.rows),
     )
     # A stable sort keeps each group's rows contiguous and in input order.
-    by_group = data[np.argsort(group, kind="stable")]
+    by_group = table.values[np.argsort(group, kind="stable")]
     starts = np.concatenate(([0], np.cumsum(np.bincount(group))[:-1]))
     lo = np.minimum.reduceat(by_group, starts, axis=0)
     hi = np.maximum.reduceat(by_group, starts, axis=0)
-    return IntervalMatrix(tuple(index), tuple(data_cols), lo, hi)
+    return IntervalMatrix(tuple(index), table.cols, lo, hi)

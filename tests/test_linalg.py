@@ -8,9 +8,6 @@ from sympca import (
     NumericError,
     dual_transport,
     eigen_sym,
-    load_oils_table,
-    pca_ztz,
-    pca_zzt,
     standardize,
 )
 
@@ -30,9 +27,10 @@ class TestEigenSym:
         eig = eigen_sym(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert eig.values == pytest.approx([3.0, 1.0], abs=1e-12)
         r = 1.0 / np.sqrt(2.0)
-        assert np.allclose(eig.vectors[:, 0], [r, r], atol=1e-12)
-        # sign rule orients the second vector with its first entry positive
-        assert np.allclose(eig.vectors[:, 1], [r, -r], atol=1e-12)
+        # eigen_sym keeps LAPACK's signs; sympca.pca orients the components
+        expected = np.array([[r, r], [r, -r]])  # columns (r, r) and (r, -r)
+        cosines = np.abs(eig.vectors.T @ expected)
+        assert np.allclose(cosines, np.eye(2), atol=1e-12)
 
     def test_oils_gram_trace(self, oils):
         z = standardize(oils).z
@@ -52,16 +50,11 @@ class TestEigenSym:
         assert np.all(np.diff(eig.values) <= 0)
         recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
         assert np.linalg.norm(recon - a) <= 1e-9 * np.linalg.norm(a)
-        for k in range(n):
-            pivot = np.argmax(np.abs(eig.vectors[:, k]))
-            assert eig.vectors[pivot, k] > 0
 
-    def test_sign_rule(self):
-        rng = np.random.default_rng(0)
-        eig = eigen_sym(_random_symmetric(rng, 8))
-        for k in range(8):
-            pivot = np.argmax(np.abs(eig.vectors[:, k]))
-            assert eig.vectors[pivot, k] > 0
+    def test_keeps_lapack_signs(self):
+        # The sign rule lives in sympca.pca; eigen_sym only sorts.
+        a = _random_symmetric(np.random.default_rng(3), 9)
+        assert np.array_equal(eigen_sym(a).vectors, np.linalg.eigh(a)[1][:, ::-1])
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(9)
@@ -70,23 +63,6 @@ class TestEigenSym:
         e2 = eigen_sym(a)
         assert np.array_equal(e1.values, e2.values)
         assert np.array_equal(e1.vectors, e2.vectors)
-
-    def test_sign_ties_break_at_lowest_index(self, corpus):
-        # With two rows every entry of an eigenvector of Z·Zt, and of a
-        # retained U, has the same magnitude, so the first entry is the
-        # pivot and must be positive; both routes orient by U.
-        two_row = [t for t in corpus if t.shape[0] == 2]
-        assert two_row
-        for table in two_row:
-            z = standardize(table).z
-            for solved in (
-                eigen_sym(z @ z.T).vectors,
-                pca_zzt(table).loadings_u,
-                pca_ztz(table).loadings_u,
-            ):
-                mags = np.abs(solved)
-                assert np.all(mags.max(axis=0) - mags.min(axis=0) <= 1e-12)
-                assert np.all(solved[0] > 0)
 
     def test_zero_matrix(self):
         eig = eigen_sym(np.zeros((3, 3)))
@@ -148,6 +124,13 @@ class TestDualityTransports:
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="length"):
             dual_transport(np.eye(3), np.eye(2), np.ones(2))
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_eigenvalue_count_must_match_columns(self, count):
+        # One lam would broadcast across both columns; three cannot broadcast.
+        with pytest.raises(DataError, match=f"lam has length {count}, but "
+                           "vectors has 2 columns"):
+            dual_transport(np.eye(3), np.eye(3)[:, :2], np.ones(count))
 
     @pytest.mark.parametrize("shape", [(3, 7), (7, 3), (20, 20), (50, 50), (50, 12)])
     def test_spectrum_duality(self, shape):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,13 +24,12 @@ from sympca import (
     IntervalMatrix,
     centers_matrix,
     clamp_correlations,
+    dual_transport,
     flip_component,
-    interval_scores_raw,
     pca_auto,
     pca_ztz,
     pca_zzt,
     random_interval_table,
-    result_to_dict,
     result_to_json,
     standardize,
     vertex_extremes,
@@ -58,7 +58,6 @@ class TestStandardize:
         norms = np.linalg.norm(b.z, axis=0)
         assert np.abs(norms - 1.0).max() <= 1e-10
         assert np.abs(b.z.mean(axis=0)).max() <= 1e-12
-        assert np.all(b.col_stds > 0)
 
     def test_bounds_bracket_z(self, oils):
         b = standardize(oils)
@@ -73,7 +72,9 @@ class TestStandardize:
     def test_population_std_convention(self, oils):
         b = standardize(oils)
         mids = centers_matrix(oils)
-        assert b.col_stds == pytest.approx(mids.std(axis=0, ddof=0))
+        m = mids.shape[0]
+        expect = (mids - mids.mean(axis=0)) / (np.sqrt(m) * mids.std(axis=0, ddof=0))
+        assert np.abs(b.z - expect).max() <= 1e-12
 
     def test_overflowing_column_named_in_error(self):
         t = IntervalMatrix(
@@ -336,6 +337,45 @@ class TestAffineEquivariance:
         assert max(_relative_errors(res, negated, corr_lo, corr_hi)) <= self.TOL
 
 
+class TestPermutationEquivariance:
+    # Reordering rows or columns changes only the order of the sums, so the
+    # results differ by roundoff, which the eigengap bounds (see
+    # TestAffineEquivariance).
+    TOL = 1e-8
+
+    @settings(deadline=None, max_examples=150)
+    @given(_valid_tables(), st.data())
+    def test_row_permutation_permutes_scores(self, table, data):
+        res = pca_auto(table)
+        assume(_gapped(res))
+        perm = np.array(data.draw(st.permutations(range(table.shape[0]))))
+        permuted = pca_auto(IntervalMatrix(
+            tuple(table.rows[i] for i in perm), table.cols,
+            table.lo[perm], table.hi[perm],
+        ), q=res.eigenvalues.size)
+        back = np.argsort(perm)
+        scores = permuted.scores
+        restored = replace(permuted, scores=IntervalMatrix(
+            table.rows, scores.cols, scores.lo[back], scores.hi[back]))
+        errors = _relative_errors(res, restored, res.correlations.lo, res.correlations.hi)
+        assert max(errors) <= self.TOL
+
+    @settings(deadline=None, max_examples=150)
+    @given(_valid_tables(), st.data())
+    def test_column_permutation_permutes_correlations_and_u(self, table, data):
+        res = pca_auto(table)
+        assume(_gapped(res))
+        perm = np.array(data.draw(st.permutations(range(table.shape[1]))))
+        permuted = pca_auto(IntervalMatrix(
+            table.rows, tuple(table.cols[j] for j in perm),
+            table.lo[:, perm], table.hi[:, perm],
+        ), q=res.eigenvalues.size)
+        corr = res.correlations
+        errors = _relative_errors(res, permuted, corr.lo[perm], corr.hi[perm])
+        assert max(errors) <= self.TOL
+        assert aligned_matrix_error(permuted.loadings_u, res.loadings_u[perm]) <= self.TOL
+
+
 class TestPathEquivalence:
     def test_oils_all_fields(self, oils):
         a = pca_zzt(oils)
@@ -400,60 +440,79 @@ class TestDegenerateReduction:
         assert aligned_matrix_error(res.center_scores, scores) <= 1e-10
         assert aligned_matrix_error(res.scores.lo, scores) <= 1e-10
 
+    @settings(deadline=None, max_examples=150)
+    @given(_valid_tables())
+    def test_matches_classical_pca(self, table):
+        res = pca_auto(_degenerate(table))
+        assume(_gapped(res))
+        q = res.eigenvalues.size
+        # Classical PCA of the midpoint correlation matrix, via LAPACK.
+        mids = centers_matrix(table)
+        xs = (mids - mids.mean(axis=0)) / mids.std(axis=0)
+        lam, u = np.linalg.eigh(xs.T @ xs / len(xs))
+        order = np.argsort(lam)[::-1][:q]
+        lam, u = lam[order], u[:, order]
+        scores = xs @ u
+        scale = max(1.0, np.abs(scores).max())
+        assert np.abs(res.eigenvalues - lam).max() <= 1e-8 * lam[0]
+        assert aligned_matrix_error(res.scores.lo, scores) <= 1e-8 * scale
+        assert aligned_matrix_error(res.correlations.lo, u * np.sqrt(lam)) <= 1e-8
 
-class TestIntervalScoresRaw:
-    def test_matches_vertex_oracle_on_oils(self, oils):
-        out = interval_scores_raw(oils)
-        mids = centers_matrix(oils)
-        means = mids.mean(axis=0)
-        centered = mids - means
-        lam, u = np.linalg.eigh(centered.T @ centered)
-        order = np.argsort(lam)[::-1]
-        u = u[:, order]
-        m, n = oils.shape
-        for i in range(m):
-            row = [Interval(oils.lo[i, j] - means[j], oils.hi[i, j] - means[j])
-                   for j in range(n)]
-            for k in range(len(out.cols)):
-                expect = vertex_extremes(row, u[:, k])
-                lo, hi = sorted((expect.lo, expect.hi))
-                # orientation-free comparison: same extremes up to sign
-                got = sorted((out.lo[i, k], out.hi[i, k]))
-                direct = max(abs(got[0] - lo), abs(got[1] - hi))
-                flipped = max(abs(got[0] + hi), abs(got[1] + lo))
-                assert min(direct, flipped) <= 1e-9
 
-    def test_contains_center_projection(self, oils):
-        out = interval_scores_raw(oils)
-        mids = centers_matrix(oils)
-        centered = mids - mids.mean(axis=0)
-        # recompute with package eigensolver for exact orientation match
-        from sympca import eigen_sym
+def _pivots_positive(u: np.ndarray) -> bool:
+    """Whether each column's pivot is positive: its first entry within a
+    relative 1e-12 of the largest magnitude."""
+    for column in u.T:
+        mags = np.abs(column)
+        pivot = np.flatnonzero(mags >= mags.max() * (1.0 - 1e-12))[0]
+        if column[pivot] <= 0:
+            return False
+    return True
 
-        eig = eigen_sym(centered.T @ centered)
-        proj = centered @ eig.vectors[:, : len(out.cols)]
-        assert np.all(out.lo <= proj + 1e-12)
-        assert np.all(proj <= out.hi + 1e-12)
 
-    def test_degenerate_gives_classical_centered_pca(self, oils):
-        table = _degenerate(oils)
-        out = interval_scores_raw(table)
-        assert np.array_equal(out.lo, out.hi)
-        mids = centers_matrix(oils)
-        centered = mids - mids.mean(axis=0)
-        lam, u = np.linalg.eigh(centered.T @ centered)
-        order = np.argsort(lam)[::-1]
-        scores = centered @ u[:, order]
-        assert aligned_matrix_error(out.lo, scores) <= 1e-10
+class TestSignRule:
+    """Each component is oriented once, by U, on both routes: the lowest-index
+    entry of (tied) largest magnitude is positive, and V flips alongside."""
 
-    def test_constant_column_is_fine_here(self):
-        t = IntervalMatrix(
-            ("r", "s", "t"), ("flat", "x"),
-            [[1.0, 0.0], [1.0, 2.0], [1.0, 4.0]],
-            [[1.0, 1.0], [1.0, 3.0], [1.0, 5.0]],
-        )
-        out = interval_scores_raw(t)
-        assert len(out.cols) >= 1
+    ROUTES = (pca_zzt, pca_ztz)
+
+    def test_two_variables(self):
+        # Midpoint columns (0, 1, 2) and (0, 2, 1) correlate at 0.5, so Zt·Z
+        # is [[1, 0.5], [0.5, 1]] with eigenvectors (r, r) and (r, -r); their
+        # entries tie in magnitude and the first is made positive.
+        mids = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 1.0]])
+        table = IntervalMatrix(("a", "b", "c"), ("x", "y"), mids - 0.25, mids + 0.25)
+        r = 1.0 / np.sqrt(2.0)
+        for route in self.ROUTES:
+            u = route(table).loadings_u
+            assert np.allclose(u, [[r, r], [r, -r]], atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 25, 50, 80])
+    def test_pivot_positive_random(self, n):
+        table = random_interval_table(n + 3, n, np.random.default_rng(n))
+        for route in self.ROUTES:
+            assert _pivots_positive(route(table).loadings_u)
+
+    def test_sign_rule(self, corpus):
+        for table in corpus:
+            z = standardize(table).z
+            for route in self.ROUTES:
+                res = route(table)
+                assert _pivots_positive(res.loadings_u)
+                carried = dual_transport(z.T, res.loadings_u, res.eigenvalues)
+                assert np.abs(res.axes_v - carried).max() <= 1e-9
+
+    def test_sign_ties_break_at_lowest_index(self, corpus):
+        # With two rows every entry of a retained U has the same magnitude,
+        # so the first entry is the pivot and must be positive.
+        two_row = [t for t in corpus if t.shape[0] == 2]
+        assert two_row
+        for table in two_row:
+            for route in self.ROUTES:
+                u = route(table).loadings_u
+                mags = np.abs(u)
+                assert np.all(mags.max(axis=0) - mags.min(axis=0) <= 1e-12)
+                assert np.all(u[0] > 0)
 
 
 class TestSignFlip:
@@ -485,7 +544,7 @@ class TestSignFlip:
 class TestSerialization:
     def test_dict_structure(self, oils):
         res = pca_auto(oils)
-        doc = result_to_dict(res)
+        doc = json.loads(result_to_json(res))
         assert doc["method_used"] == "ztz"
         assert len(doc["eigenvalues"]) == 4
         assert doc["scores"]["rows"] == list(oils.rows)
@@ -494,8 +553,8 @@ class TestSerialization:
 
     def test_clamp_flag(self, oils):
         res = pca_auto(oils)
-        clamped = result_to_dict(res, clamp=True)
-        raw = result_to_dict(res, clamp=False)
+        clamped = json.loads(result_to_json(res, clamp=True))
+        raw = json.loads(result_to_json(res, clamp=False))
         assert min(min(r) for r in clamped["correlations"]["lo"]) >= -1.0
         assert min(min(r) for r in raw["correlations"]["lo"]) < -1.0
         # scores are never clamped
@@ -540,15 +599,3 @@ class TestGramSizeLimit:
             "the ztz route would form a 4x4 Gram matrix of 128 bytes, over the "
             "limit of 127 bytes"
         )
-
-    def test_interval_scores_raw_over_limit(self, oils, monkeypatch):
-        # centres-only scores form the n x n product, 4x4 on oils
-        monkeypatch.setattr("sympca.pca.GRAM_LIMIT_BYTES", 127)
-        with pytest.raises(DataError) as info:
-            interval_scores_raw(oils)
-        assert str(info.value) == (
-            "interval_scores_raw would form a 4x4 Gram matrix of 128 bytes, over "
-            "the limit of 127 bytes"
-        )
-        monkeypatch.setattr("sympca.pca.GRAM_LIMIT_BYTES", 128)
-        assert interval_scores_raw(oils).shape == (8, 4)

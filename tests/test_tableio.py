@@ -177,22 +177,14 @@ class TestParseClassicCsv:
             parse_classic_csv(",a\nr,1\n", concept="state")
 
 
-def _aggregate_by_loop(table, concept_col):
+def _aggregate_by_loop(table):
     """Reference: one fancy-indexed block per group, in first-appearance order."""
-    if table.concept == concept_col:
-        keys, data_cols, data = table.concept_labels, table.cols, table.values
-    else:
-        j = table.cols.index(concept_col)
-        keys = [repr(float(v)).removesuffix(".0") for v in table.values[:, j]]
-        keep = [k for k in range(len(table.cols)) if k != j]
-        data_cols = tuple(table.cols[k] for k in keep)
-        data = table.values[:, keep]
     members: dict[str, list[int]] = {}
-    for i, key in enumerate(keys):
+    for i, key in enumerate(table.concept_labels):
         members.setdefault(key, []).append(i)
-    lo = np.array([data[rows].min(axis=0) for rows in members.values()])
-    hi = np.array([data[rows].max(axis=0) for rows in members.values()])
-    return tuple(members), tuple(data_cols), lo, hi
+    lo = np.array([table.values[rows].min(axis=0) for rows in members.values()])
+    hi = np.array([table.values[rows].max(axis=0) for rows in members.values()])
+    return tuple(members), table.cols, lo, hi
 
 
 class TestAggregateClassic:
@@ -248,12 +240,17 @@ class TestAggregateClassic:
             for j in range(len(t.cols)):
                 assert out.lo[g, j] <= t.values[i, j] <= out.hi[g, j]
 
-    def test_numeric_concept_column_fallback(self):
-        t = parse_classic_csv(",state,x\n1,8,0.5\n2,53,0.7\n3,8,0.1\n")
-        out = aggregate_classic(t, "state")
-        assert out.rows == ("8", "53")
+    def test_numeric_concept_column_refused(self):
+        # Grouping is by the text of the designated concept column, so "0",
+        # "-0" and "0.0" are three concepts, as in `sympca aggregate --by`.
+        text = ",state,x\n1,0,0.5\n2,-0,0.7\n3,0.0,0.1\n4,0,0.2\n"
+        with pytest.raises(DataError, match=r"column 'state' is numeric data, not the "
+                           r"concept column: parse the file with concept='state'"):
+            aggregate_classic(parse_classic_csv(text), "state")
+        out = aggregate_classic(parse_classic_csv(text, concept="state"), "state")
+        assert out.rows == ("0", "-0", "0.0")
         assert out.cols == ("x",)
-        assert out.cell(0, 0) == Interval(0.1, 0.5)
+        assert out.cell(0, 0) == Interval(0.2, 0.5)
 
     def test_missing_concept(self):
         with pytest.raises(DataError, match="not found"):
@@ -264,17 +261,15 @@ class TestAggregateClassic:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 60))
         values = rng.normal(size=(m, 4))
-        values[:, 0] = rng.integers(0, 7, m)  # numeric concept column
         keys = tuple(f"g{k}" for k in rng.integers(0, 9, m))
         t = ClassicTable(
             tuple(map(str, range(m))), ("k", "x", "y", "z"), values,
             concept="g", concept_labels=keys,
         )
-        for concept in ("g", "k"):
-            got = aggregate_classic(t, concept)
-            rows, cols, lo, hi = _aggregate_by_loop(t, concept)
-            assert got.rows == rows and got.cols == cols
-            assert np.array_equal(got.lo, lo) and np.array_equal(got.hi, hi)
+        got = aggregate_classic(t, "g")
+        rows, cols, lo, hi = _aggregate_by_loop(t)
+        assert got.rows == rows and got.cols == cols
+        assert np.array_equal(got.lo, lo) and np.array_equal(got.hi, hi)
 
     def test_single_row_groups_match_loop(self):
         t = ClassicTable(
@@ -282,7 +277,7 @@ class TestAggregateClassic:
             concept="g", concept_labels=("b", "a", "b"),
         )
         got = aggregate_classic(t, "g")
-        rows, cols, lo, hi = _aggregate_by_loop(t, "g")
+        rows, cols, lo, hi = _aggregate_by_loop(t)
         assert got.rows == rows == ("b", "a")
         assert np.array_equal(got.lo, lo) and np.array_equal(got.hi, hi)
 
