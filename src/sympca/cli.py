@@ -77,10 +77,11 @@ def _run_pca(args: argparse.Namespace) -> PcaResult:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> None:
-    table = parse_classic_csv(Path(args.input).read_text(encoding="utf-8"), concept=args.by)
+    table = parse_classic_csv(
+        Path(args.input).read_text(encoding="utf-8"), concept=args.by,
+        exclude=args.exclude_cols,
+    )
     result = aggregate_classic(table, args.by)
-    if args.exclude_cols:
-        result = result.without_columns(args.exclude_cols)
     Path(args.output).write_text(write_interval_csv(result), encoding="utf-8")
 
 

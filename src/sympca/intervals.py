@@ -65,12 +65,16 @@ class Interval:
         return f"[{self.lo!r}, {self.hi!r}]"
 
 
+def _check_finite(arr: np.ndarray, name: str) -> None:
+    if not np.isfinite(arr).all():
+        raise DataError(f"{name} contains non-finite entries")
+
+
 def _as_bounds_array(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise DataError(f"{name} must be a 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"{name} contains non-finite entries")
+    _check_finite(arr, name)
     return arr
 
 
@@ -97,6 +101,19 @@ class BoundsPair:
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
 
+    @classmethod
+    def _derived(cls, low: np.ndarray, high: np.ndarray) -> "BoundsPair":
+        """Trusted constructor for float arrays the library derives from
+        validated data by a monotone map, so shapes match and low <= high hold
+        by construction; only finiteness, which an overflow can break, is
+        checked."""
+        _check_finite(low, "low")
+        _check_finite(high, "high")
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "low", low)
+        object.__setattr__(pair, "high", high)
+        return pair
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.low.shape
@@ -109,6 +126,11 @@ def _check_labels(labels, axis: str) -> tuple[str, ...]:
         dup = next(name for name in out if name in seen or seen.add(name))
         raise DataError(f"duplicate {axis} label: {dup!r}")
     return out
+
+
+def _check_grid_finite(lo: np.ndarray, hi: np.ndarray) -> None:
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise DataError("interval grid contains non-finite entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,8 +157,7 @@ class IntervalMatrix:
                 f"grid shape {lo.shape}/{hi.shape} does not match labels {expected}"
             )
         if lo.size:
-            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-                raise DataError("interval grid contains non-finite entries")
+            _check_grid_finite(lo, hi)
             if np.any(lo > hi):
                 i, j = np.argwhere(lo > hi)[0]
                 raise DataError(
@@ -147,6 +168,21 @@ class IntervalMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+
+    @classmethod
+    def _derived(cls, rows: tuple[str, ...], cols: tuple[str, ...],
+                 lo: np.ndarray, hi: np.ndarray) -> "IntervalMatrix":
+        """Trusted constructor for float arrays the library derives from a
+        validated table: the labels come from that table (or are generated),
+        the shapes match them and lo <= hi holds by construction, so only
+        finiteness, which an overflowing product can break, is checked."""
+        _check_grid_finite(lo, hi)
+        table = object.__new__(cls)
+        object.__setattr__(table, "rows", rows)
+        object.__setattr__(table, "cols", cols)
+        object.__setattr__(table, "lo", lo)
+        object.__setattr__(table, "hi", hi)
+        return table
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -188,8 +224,9 @@ def _spread(centre, radius, weights, rows, cols) -> IntervalMatrix:
     """Intervals ``centre ± radius @ |weights|`` around the projected box centres."""
     # radius >= 0 makes half >= 0, and then rounding keeps fl(c - half) <= c <=
     # fl(c + half): c lies inside exactly, and a zero radius gives c at both ends.
+    # Only finiteness is left to check: the products can overflow.
     half = radius @ np.abs(weights)
-    return IntervalMatrix(rows, cols, centre - half, centre + half)
+    return IntervalMatrix._derived(rows, cols, centre - half, centre + half)
 
 
 def interval_project(

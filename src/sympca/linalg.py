@@ -72,11 +72,16 @@ def eigen_sym(a: np.ndarray) -> EigenDecomposition:
             f"matrix is not symmetric: max asymmetry {asym:.3e} "
             f"exceeds 1e-12 relative"
         )
+    return _eigh_descending((mat + mat.T) / 2.0)
+
+
+def _eigh_descending(mat: np.ndarray) -> EigenDecomposition:
+    """LAPACK ``eigh`` of a finite, exactly symmetric float matrix, with the
+    eigenpairs sorted by descending eigenvalue; a failure is a NumericError."""
     try:
-        values, vectors = np.linalg.eigh((mat + mat.T) / 2.0)
+        values, vectors = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from None
-
     order = np.argsort(-values, kind="stable")
     return EigenDecomposition(values[order], vectors[:, order])
 

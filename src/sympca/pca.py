@@ -4,7 +4,8 @@ The pipeline: take the midpoint of every interval cell, standardize the
 midpoint matrix to Z (zero-mean, unit-norm columns, so Zt·Z is the midpoint
 correlation matrix), and eigendecompose either Z·Zt (``pca_zzt``) or Zt·Z
 (``pca_ztz``). One body serves both routes: with A = Z or A = Zt it solves
-the eigenproblem of A·At with ``eigen_sym`` and recovers the other
+the eigenproblem of A·At with LAPACK, as ``eigen_sym`` does but without
+re-checking a product it formed itself, and recovers the other
 eigenvector family with ``dual_transport(A, ...)`` (U = Zt·V / sqrt(lam), or
 V = Z·U / sqrt(lam)), then spreads each classical (midpoint) value by the
 interval radii projected onto |eigenvectors|:
@@ -14,7 +15,7 @@ interval radii projected onto |eigenvectors|:
 * interval correlations of the variables: Zt·V ± the variable columns'
   radii projected onto |V|.
 
-``pca_auto`` picks whichever path has the smaller eigenproblem. ``eigen_sym``
+``pca_auto`` picks whichever path has the smaller eigenproblem. The solver
 leaves LAPACK's signs; each component is oriented here, once, by the sign
 rule on U (its entry of largest magnitude is made positive; entries within a
 relative 1e-12 of it tie, and the lowest index wins) with V flipped
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import DataError
 from .intervals import BoundsPair, IntervalMatrix, _spread
-from .linalg import EigenDecomposition, dual_transport, eigen_sym
+from .linalg import EigenDecomposition, _eigh_descending, dual_transport
 
 __all__ = [
     "StandardizedBundle",
@@ -63,6 +64,8 @@ GRAM_LIMIT_BYTES = 1 << 30
 # Eigenvector entries this close (relative) to the largest magnitude tie for
 # the sign pivot, so rounding noise cannot pick among equal entries.
 _SIGN_TIE_RTOL = 1e-12
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +113,56 @@ def _refuse_column(x: IntervalMatrix, bad: np.ndarray, reason: str) -> None:
         raise DataError(f"column {x.cols[int(np.argmax(bad))]!r} {reason}")
 
 
+def _standardize(
+    x: IntervalMatrix,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The body of ``standardize``: z, the mapped lower and upper bounds,
+    and their widths, every one checked finite."""
+    m = x.shape[0]
+    if m < 2:
+        raise DataError(f"need at least 2 rows to standardize, got {m}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mids = centers_matrix(x)
+        means = mids.mean(axis=0)
+        # The deviations feed the std by np.std's own steps (same bits), then
+        # are scaled in place into z.
+        z = mids - means
+        stds = np.sqrt(np.add.reduce(z * z, axis=0) / m)
+        # The range test catches constant columns whose std rounds to a tiny
+        # non-zero value; a zero std over a non-zero range is an underflow.
+        # Summed in any order, m copies of c give a mean within about
+        # (m - 1)·(eps/2)·|c| of c (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2002, §4.2), so a constant column's std is
+        # at most about m·(eps/2)·|mean|, or infinite where the squared
+        # deviations overflow. A column over 8 times that bound is not
+        # constant; only the others need the range test.
+        constant = (stds <= (4 * m * _EPS) * np.abs(means)) | (stds == np.inf)
+        constant[constant] = np.ptp(mids[:, constant], axis=0) == 0.0
+        _refuse_column(x, constant,
+                       "is constant (zero variance); it cannot be standardized")
+        _refuse_column(x, stds == 0.0, "cannot be standardized: its midpoints "
+                       "differ, but their variance underflows to zero")
+        _refuse_column(x, ~(np.isfinite(means) & np.isfinite(stds)),
+                       "is too large in magnitude to standardize: its midpoint "
+                       "mean or standard deviation overflows")
+        scale = 1.0 / (math.sqrt(m) * stds)
+        z *= scale
+        low = x.lo - means
+        low *= scale
+        high = x.hi - means
+        high *= scale
+        # Finite widths imply finite bounds: inf - x and nan - x are not finite.
+        width = high - low
+    if not np.isfinite(width).all():
+        _refuse_column(x, ~(np.isfinite(low) & np.isfinite(high)).all(axis=0),
+                       "is too large in magnitude to standardize: its interval "
+                       "bounds overflow when standardized")
+        _refuse_column(x, ~np.isfinite(width).all(axis=0),
+                       "is too large in magnitude to standardize: its interval "
+                       "widths overflow when standardized")
+    return z, low, high, width
+
+
 def standardize(x: IntervalMatrix) -> StandardizedBundle:
     """Center and reduce the midpoint matrix, mapping bounds alongside.
 
@@ -119,38 +172,12 @@ def standardize(x: IntervalMatrix) -> StandardizedBundle:
     zero mean and unit norm, and Zt·Z is the midpoint correlation matrix.
 
     Raises DataError when m < 2, or when a midpoint column is constant, its
-    variance underflows, its mean or std overflows, or its mapped bounds
-    overflow.
+    variance underflows, its mean or std overflows, or its mapped bounds or
+    their widths overflow.
     """
-    m = x.shape[0]
-    if m < 2:
-        raise DataError(f"need at least 2 rows to standardize, got {m}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        mids = centers_matrix(x)
-        means = mids.mean(axis=0)
-        stds = mids.std(axis=0)
-        # The range test catches constant columns whose std rounds to a tiny
-        # non-zero value; a zero std over a non-zero range is an underflow.
-        _refuse_column(x, np.ptp(mids, axis=0) == 0.0,
-                       "is constant (zero variance); it cannot be standardized")
-        _refuse_column(x, stds == 0.0, "cannot be standardized: its midpoints "
-                       "differ, but their variance underflows to zero")
-        _refuse_column(x, ~(np.isfinite(means) & np.isfinite(stds)),
-                       "is too large in magnitude to standardize: its midpoint "
-                       "mean or standard deviation overflows")
-        scale = 1.0 / (math.sqrt(m) * stds)
-        z = (mids - means) * scale
-        low = (x.lo - means) * scale
-        high = (x.hi - means) * scale
-    try:
-        bounds = BoundsPair(low, high)
-    except DataError:
-        # BoundsPair refuses non-finite bounds; name the column that overflowed.
-        _refuse_column(x, ~(np.isfinite(low) & np.isfinite(high)).all(axis=0),
-                       "is too large in magnitude to standardize: its interval "
-                       "bounds overflow when standardized")
-        raise
-    return StandardizedBundle(z=z, bounds=bounds)
+    z, low, high, _ = _standardize(x)
+    # The map is increasing, so low <= high holds as it did in x.
+    return StandardizedBundle(z=z, bounds=BoundsPair._derived(low, high))
 
 
 def _check_gram_size(route: str, side: int, other: str, other_side: int) -> None:
@@ -200,11 +227,12 @@ def _duality_pca(x: IntervalMatrix, q: int | None, route: str) -> PcaResult:
     """The one body behind both routes: solve the Gram product of
     A = Z (``"zzt"``) or A = Zt (``"ztz"``), carry the solved family across
     with ``dual_transport(A, ...)``, orient by U, and spread the centres."""
-    bundle = standardize(x)
-    z = bundle.z
+    z, _, _, width = _standardize(x)
     a, other = (z, "ztz") if route == "zzt" else (z.T, "zzt")
     _check_gram_size(route, a.shape[0], other, a.shape[1])
-    eig = eigen_sym(a @ a.T)
+    # A·At is exactly symmetric (one BLAS triangle, mirrored) and finite, as
+    # |z| <= 1, so it skips eigen_sym's checks.
+    eig = _eigh_descending(a @ a.T)
     q = _resolve_q(eig, q)
     lam = eig.values[:q].copy()
     solved = eig.vectors[:, :q].copy()
@@ -218,7 +246,7 @@ def _duality_pca(x: IntervalMatrix, q: int | None, route: str) -> PcaResult:
     pcs = _component_labels(q)
     # Scores live in the unit-variance scale of the data: sqrt(m) times z's.
     root_m = math.sqrt(z.shape[0])
-    radius = (bundle.bounds.high - bundle.bounds.low) / 2.0
+    radius = np.divide(width, 2.0, out=width)
     center_scores = (root_m * z) @ u
     center_correlations = z.T @ v
     scores = _spread(center_scores, root_m * radius, u, x.rows, pcs)
@@ -269,7 +297,8 @@ def pca_auto(x: IntervalMatrix, q: int | None = None) -> PcaResult:
 
 def clamp_correlations(table: IntervalMatrix) -> IntervalMatrix:
     """Clip interval endpoints to the unit ball [-1, 1]."""
-    return IntervalMatrix(
+    # Clipping both ends to one range keeps lo <= hi.
+    return IntervalMatrix._derived(
         table.rows,
         table.cols,
         np.clip(table.lo, -1.0, 1.0),
@@ -296,7 +325,7 @@ def flip_component(result: PcaResult, k: int) -> PcaResult:
         lo = table.lo.copy()
         hi = table.hi.copy()
         lo[:, k], hi[:, k] = -table.hi[:, k], -table.lo[:, k]
-        return IntervalMatrix(table.rows, table.cols, lo, hi)
+        return IntervalMatrix._derived(table.rows, table.cols, lo, hi)
 
     return replace(
         result,

@@ -328,8 +328,15 @@ class ClassicTable:
         return self.values.shape
 
 
-def parse_classic_csv(text: str, concept: str | None = None) -> ClassicTable:
-    """Parse a classic numeric CSV; ``concept`` names a column kept as text."""
+def parse_classic_csv(
+    text: str, concept: str | None = None, *, exclude: Iterable[str] = ()
+) -> ClassicTable:
+    """Parse a classic numeric CSV; ``concept`` names a column kept as text.
+
+    Columns named in ``exclude`` are dropped before any cell is read, so they
+    may hold text; naming an unknown column, or the concept column, is a
+    DataError.
+    """
     header, fields = _read_table(text)
     names = _header_names(header)
     if len(set(names)) != len(names):
@@ -339,14 +346,21 @@ def parse_classic_csv(text: str, concept: str | None = None) -> ClassicTable:
         if concept not in names:
             raise DataError(f"concept column {concept!r} not found")
         concept_idx = names.index(concept)
-    data_idx = [j for j in range(len(names)) if j != concept_idx]
+    drop = set(exclude)
+    unknown = (drop - set(names)) | (drop & {concept})
+    if unknown:
+        raise DataError(f"no column named {sorted(unknown)[0]!r}")
+    gone = {j for j, name in enumerate(names) if name == concept or name in drop}
+    data_idx = [j for j in range(len(names)) if j not in gone]
     values = None
     if fields is not None:
         width = len(header)
         concept_labels: tuple[str, ...] = ()
         if concept_idx is not None:
             concept_labels = tuple(map(str.strip, fields[1 + concept_idx :: width]))
-            del fields[1 + concept_idx :: width]
+        # Right to left, so a deletion moves none of the columns still to go.
+        for j in sorted(gone, reverse=True):
+            del fields[1 + j :: width]
             width -= 1
         rows = _take_labels(fields, width)
         values = _finite_floats(fields)

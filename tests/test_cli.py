@@ -25,6 +25,13 @@ CLASSIC = (
     "3,NV,1,0.2,20\n"
 )
 
+CLASSIC_TEXT_FOLD = (
+    ",state,fold,x,y\n"
+    "1,CA,f1,0.1,10\n"
+    "2,CA,f2,0.5,30\n"
+    "3,NV,f1,0.2,20\n"
+)
+
 
 class TestAggregate:
     def test_end_to_end(self, tmp_path):
@@ -49,6 +56,20 @@ class TestAggregate:
         assert code == 0
         table = parse_interval_csv(out.read_text(encoding="utf-8"))
         assert table.cols == ("x", "y")
+
+    def test_exclude_text_column(self, tmp_path, capsys):
+        # Excluded columns are dropped before the cells are read as numbers,
+        # and an unknown name still fails on the column, not on the text.
+        src = tmp_path / "classic.csv"
+        src.write_text(CLASSIC_TEXT_FOLD, encoding="utf-8")
+        out = tmp_path / "intervals.csv"
+        argv = ["aggregate", "--input", str(src), "--output", str(out), "--by", "state"]
+        assert main(argv + ["--exclude-cols", "fold"]) == 0
+        assert out.read_text(encoding="utf-8") == (
+            ',x,y\nCA,"[0.1,0.5]","[10.0,30.0]"\nNV,"[0.2,0.2]","[20.0,20.0]"\n'
+        )
+        assert main(argv + ["--exclude-cols", "fold,nosuch"]) == 2
+        assert capsys.readouterr().err == "error: no column named 'nosuch'\n"
 
     @pytest.mark.parametrize("name", ["nosuch", "state"])
     def test_exclude_unknown_or_concept_column_is_2(self, name, tmp_path, capsys):
@@ -226,11 +247,14 @@ class TestExitCodes:
         (("[0,0]", "[5e-301,5e-301]", "[0,0]"),
          "cannot be standardized: its midpoints differ, but their variance "
          "underflows to zero"),
-    ], ids=["bounds-overflow", "variance-underflow"])
+        (("[0,0]", "[1e-150,1e-150]", "[0,0]", "[-8e157,8e157]"),
+         "is too large in magnitude to standardize: its interval widths overflow "
+         "when standardized"),
+    ], ids=["bounds-overflow", "variance-underflow", "width-overflow"])
     def test_unstandardizable_column_is_2(self, cells, message, tmp_path, capsys):
         rows = "".join(
             f'{label},"{cell}","[{y},{y}]"\n'
-            for label, cell, y in zip("abc", cells, (1, 3, 2))
+            for label, cell, y in zip("abcd", cells, (1, 3, 2, 4))
         )
         src = tmp_path / "edge.csv"
         src.write_text(",x,y\n" + rows, encoding="utf-8")

@@ -64,6 +64,14 @@ class TestIntervalMatrix:
         with pytest.raises(DataError, match="no column named"):
             t.without_columns(["nope"])
 
+    def test_derived_constructor_checks_finiteness(self):
+        lo = np.array([[0.0, -np.inf]])
+        hi = np.array([[1.0, 1.0]])
+        with pytest.raises(DataError, match="interval grid contains non-finite entries"):
+            IntervalMatrix._derived(("a",), ("x", "y"), lo, hi)
+        with pytest.raises(DataError, match="low contains non-finite entries"):
+            BoundsPair._derived(lo, hi)
+
     def test_equality(self):
         args = (("a",), ("x",), [[0.0]], [[1.0]])
         assert IntervalMatrix(*args) == IntervalMatrix(*args)

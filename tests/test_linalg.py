@@ -87,6 +87,15 @@ class TestEigenSym:
             eigen_sym(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 7), (7, 2), (30, 12), (65, 65), (500, 40)])
+def test_gram_products_are_exactly_symmetric(shape):
+    # The PCA routes hand A·At to LAPACK without eigen_sym's symmetrisation.
+    z = np.random.default_rng(3).normal(size=shape)
+    for a in (z, z.T):
+        gram = a @ a.T
+        assert np.array_equal(gram, gram.T)
+
+
 class TestDualityTransports:
     def test_identity_examples(self):
         z = np.diag([4.0, 1.0])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from helpers import (
     aligned_matrix_error,
 )
 from sympca import (
+    BoundsPair,
     DataError,
     Interval,
     IntervalMatrix,
@@ -98,12 +100,16 @@ class TestStandardize:
         ((0.0, 5e-301, 0.0), 0.0, 0.0,
          "column 'x' cannot be standardized: its midpoints differ, but their "
          "variance underflows to zero"),
-    ], ids=["bounds-overflow", "variance-underflow"])
+        # Both bounds standardize to a finite ±9.2e307, but their width does not.
+        ((0.0, 1e-150, 0.0, 0.0), -8e157, 8e157,
+         "column 'x' is too large in magnitude to standardize: its interval "
+         "widths overflow"),
+    ], ids=["bounds-overflow", "variance-underflow", "width-overflow"])
     def test_numeric_edge_named_in_error(self, mids, lo, hi, match):
-        low = np.array([[mids[0], 1.0], [mids[1], 3.0], [mids[2], 2.0]])
+        low = np.column_stack([mids, (1.0, 3.0, 2.0, 4.0)[:len(mids)]])
         high = low.copy()
-        low[2, 0], high[2, 0] = lo, hi
-        t = IntervalMatrix(("r", "s", "t"), ("x", "y"), low, high)
+        low[-1, 0], high[-1, 0] = lo, hi
+        t = IntervalMatrix(("r", "s", "t", "u")[:len(mids)], ("x", "y"), low, high)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=match):
@@ -118,6 +124,27 @@ class TestStandardize:
         )
         with pytest.raises(DataError, match="'flat'"):
             standardize(t)
+
+    @pytest.mark.parametrize("m", [2, 3, 7, 1000])
+    @pytest.mark.parametrize("value", [
+        0.1, -1 / 3, 0.7, 123456.789, 5e-324, 1e-310, 2.2250738585072014e-308,
+        1e-160, 1e154, 1e300, 3e307, 8e307,
+    ])
+    def test_constant_column_at_any_magnitude(self, value, m):
+        # Summing m copies of a value can round, so the deviations of a
+        # constant column need not be zero (0.1 at m = 3 gives std 1.4e-17);
+        # their squares can overflow (1e300 at m = 7 gives an infinite std),
+        # and the sum itself can (8e307). Each is still called constant.
+        column = np.full(m, value)
+        other = np.arange(m, dtype=float)
+        t = IntervalMatrix(
+            tuple(f"r{i}" for i in range(m)), ("y", "flat"),
+            np.column_stack([other, column]), np.column_stack([other + 1.0, column]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="column 'flat' is constant"):
+                standardize(t)
 
     def test_needs_two_rows(self):
         t = IntervalMatrix(("r",), ("a",), [[0.0]], [[1.0]])
@@ -230,6 +257,44 @@ def _valid_tables(draw):
     except DataError:
         reject()
     return table
+
+
+def _standardize_two_pass(table: IntervalMatrix):
+    """Reference z, low and high: np.mean and np.std of the midpoints, then
+    (v - mean) * scale for each of midpoints, lower and upper bounds."""
+    mids = centers_matrix(table)
+    means = np.mean(mids, axis=0)
+    scale = 1.0 / (math.sqrt(mids.shape[0]) * np.std(mids, axis=0))
+    return tuple((v - means) * scale for v in (mids, table.lo, table.hi))
+
+
+class TestStandardizeOnePass:
+    @settings(deadline=None, max_examples=300)
+    @given(_valid_tables())
+    @example(IntervalMatrix(
+        ("r0", "r1", "r2"), ("c0", "c1"),
+        [[0.1, -1e-150], [0.1, 3e-150], [0.3, 2e-150]],
+        [[0.1, 1e-150], [0.2, 4e-150], [0.7, 2e-150]],
+    ))
+    def test_bits_match_two_pass_formula(self, table):
+        bundle = standardize(table)
+        z, low, high = _standardize_two_pass(table)
+        assert np.array_equal(bundle.z, z)
+        assert np.array_equal(bundle.bounds.low, low)
+        assert np.array_equal(bundle.bounds.high, high)
+
+    @settings(deadline=None, max_examples=150)
+    @given(_valid_tables())
+    def test_derived_results_pass_the_public_checks(self, table):
+        # Labels and lo <= hi are not re-checked on derived results; they hold.
+        bundle = standardize(table)
+        BoundsPair(bundle.bounds.low, bundle.bounds.high)
+        res = pca_auto(table)
+        for derived in (
+            res.scores, res.correlations, clamp_correlations(res.correlations),
+            flip_component(res, 0).scores, flip_component(res, 0).correlations,
+        ):
+            assert IntervalMatrix(derived.rows, derived.cols, derived.lo, derived.hi) == derived
 
 
 class TestContainmentProperty:

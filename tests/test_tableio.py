@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import re
 
@@ -544,7 +545,7 @@ class TestUnreadableCsv:
         assert t.shape == (1, n) and t.values.min() == 1.0
 
 
-def _reference_classic(text: str, concept: str | None):
+def _reference_classic(text: str, concept: str | None, exclude=()):
     """parse_classic_csv as csv.reader records and one float() per cell:
     (rows, cols, concept labels, values), or the first error's message."""
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -562,7 +563,10 @@ def _reference_classic(text: str, concept: str | None):
         return "duplicate column label in classic table header"
     if concept is not None and concept not in names:
         return f"concept column {concept!r} not found"
-    data = [j for j, name in enumerate(names) if name != concept]
+    for name in sorted(exclude):
+        if name not in names or name == concept:
+            return f"no column named {name!r}"
+    data = [j for j, name in enumerate(names) if name != concept and name not in exclude]
     values = []
     for record in body:
         if len(record) != len(header):
@@ -640,13 +644,16 @@ class TestClassicTokeniserProperty:
     @example(',"a,b"\r\n"r",1\r\n')
     @example(",a\nr,1\rs,2\n")
     def test_matches_csv_reader(self, text):
-        for concept in (None, "?", *_column_names(text)):
-            expected = _reference_classic(text, concept)
+        names = _column_names(text)
+        for concept, exclude in itertools.product(
+            (None, "?", *names), ((), ("?",), *((name,) for name in names[:2])),
+        ):
+            expected = _reference_classic(text, concept, exclude)
             if isinstance(expected, str):
                 with pytest.raises(DataError) as info:
-                    parse_classic_csv(text, concept=concept)
+                    parse_classic_csv(text, concept=concept, exclude=exclude)
                 assert str(info.value) == expected
             else:
-                t = parse_classic_csv(text, concept=concept)
+                t = parse_classic_csv(text, concept=concept, exclude=exclude)
                 got = (t.rows, t.cols, t.concept_labels, t.values.ravel().tolist())
                 assert got == expected
