@@ -198,7 +198,8 @@ class IntervalMatrix:
         if unknown:
             raise DataError(f"no column named {sorted(unknown)[0]!r}")
         keep = [j for j, c in enumerate(self.cols) if c not in drop]
-        return IntervalMatrix(
+        # A subset of checked labels and cells keeps every fact checked.
+        return IntervalMatrix._derived(
             self.rows,
             tuple(self.cols[j] for j in keep),
             self.lo[:, keep],

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
-from .intervals import BoundsPair, IntervalMatrix, _spread
+from .intervals import BoundsPair, IntervalMatrix, _default_labels, _spread
 from .linalg import EigenDecomposition, _eigh_descending, dual_transport
 
 __all__ = [
@@ -53,8 +53,6 @@ __all__ = [
     "flip_component",
     "result_to_json",
 ]
-
-_COMPONENT_PREFIX = "PC"
 
 # Largest float64 Gram product, Z·Zt or Zt·Z, that a route forms: 1 GiB, so
 # a side of at most 11585. Past it the process is more likely killed for
@@ -196,10 +194,6 @@ def _check_gram_size(route: str, side: int, other: str, other_side: int) -> None
     raise DataError(message)
 
 
-def _component_labels(q: int) -> tuple[str, ...]:
-    return tuple(f"{_COMPONENT_PREFIX}{k + 1}" for k in range(q))
-
-
 def _resolve_q(eig: EigenDecomposition, q: int | None) -> int:
     rank = eig.positive_count
     if rank == 0:
@@ -243,14 +237,25 @@ def _duality_pca(x: IntervalMatrix, q: int | None, route: str) -> PcaResult:
     signs = _canonical_signs(u)
     u *= signs
     v *= signs
-    pcs = _component_labels(q)
+    pcs = _default_labels("PC", q)
     # Scores live in the unit-variance scale of the data: sqrt(m) times z's.
     root_m = math.sqrt(z.shape[0])
     radius = np.divide(width, 2.0, out=width)
     center_scores = (root_m * z) @ u
     center_correlations = z.T @ v
-    scores = _spread(center_scores, root_m * radius, u, x.rows, pcs)
-    correlations = _spread(center_correlations, radius.T, v, x.cols, pcs)
+    # standardize bounds the widths, not sqrt(m) times the radii nor their
+    # sums over a row, so the spreads can still overflow; _spread then finds
+    # non-finite ends, and the column holding the largest radius is named.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = _spread(center_scores, root_m * radius, u, x.rows, pcs)
+            correlations = _spread(center_correlations, radius.T, v, x.cols, pcs)
+    except DataError:
+        widest = x.cols[int(np.argmax(radius.max(axis=0)))]
+        raise DataError(
+            f"column {widest!r} is too large in magnitude for interval PCA: "
+            "its interval radii overflow when projected onto the components"
+        ) from None
     return PcaResult(
         eigenvalues=lam,
         loadings_u=u,

@@ -3,7 +3,9 @@
 ``render_circle`` draws the symbolic correlation circle: a unit circle with
 one axis-aligned rectangle per variable spanning its correlation intervals
 on the two chosen components. ``render_plane`` draws the symbolic principal
-plane: one rectangle per object spanning its score intervals.
+plane: one rectangle per object spanning its score intervals. Each maps its
+intervals to whole-array coordinates and hands them to one figure body,
+which writes the axes, their names and the labelled rectangles.
 
 Geometry contract (documented so output can be inverted exactly):
 
@@ -81,21 +83,6 @@ def _axis_columns(table: IntervalMatrix, spec: PlotSpec) -> tuple[int, int]:
     return spec.axis_x - 1, spec.axis_y - 1
 
 
-def _svg_open(spec: PlotSpec) -> list[str]:
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">',
-    ]
-    if spec.title:
-        parts.append(
-            f'<text x="{_fmt(spec.width / 2)}" y="16" text-anchor="middle" '
-            f'{_FONT}>{escape(spec.title)}</text>'
-        )
-    return parts
-
-
 def _rect(x: float, y: float, w: float, h: float, color: str) -> str:
     return (
         f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
@@ -117,6 +104,41 @@ def _text(x: float, y: float, anchor: str, content: str, color: str) -> str:
     )
 
 
+def _figure(spec: PlotSpec, origin: tuple[float, float], names: tuple[str, str],
+            extra: list[str], rows: tuple[str, ...], rects, marks,
+            anchor: str) -> str:
+    """The one figure body of both plots: header and title, axis lines
+    crossing at ``origin``, ``extra`` elements, the axis ``names``, then one
+    palette-coloured rectangle per row from the arrays ``rects`` (x, y, width,
+    height), labelled at ``marks`` (x, y) with text anchor ``anchor``."""
+    ox, oy = origin
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{spec.width}" height="{spec.height}" '
+        f'viewBox="0 0 {spec.width} {spec.height}">',
+    ]
+    if spec.title:
+        parts.append(
+            f'<text x="{_fmt(spec.width / 2)}" y="16" text-anchor="middle" '
+            f'{_FONT}>{escape(spec.title)}</text>'
+        )
+    parts.append(_line(0.0, oy, float(spec.width), oy))
+    parts.append(_line(ox, 0.0, ox, float(spec.height)))
+    parts.extend(extra)
+    parts.append(_text(float(spec.width) - 4.0, oy - 6.0, "end", names[0], "#444444"))
+    parts.append(_text(ox + 6.0, 14.0, "start", names[1], "#444444"))
+    rects = zip(*(a.tolist() for a in rects))
+    marks = zip(*(a.tolist() for a in marks))
+    for i, (name, rect, mark) in enumerate(zip(rows, rects, marks)):
+        color = PALETTE[i % len(PALETTE)]
+        parts.append(_rect(*rect, color))
+        if spec.labels:
+            parts.append(_text(*mark, anchor, name, color))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 def render_circle(correlations: IntervalMatrix, spec: PlotSpec) -> str:
     """Render the correlation circle; input must already be clamped to
     [-1, 1] (which keeps all geometry inside the viewport)."""
@@ -130,42 +152,18 @@ def render_circle(correlations: IntervalMatrix, spec: PlotSpec) -> str:
     cx = spec.width / 2.0
     cy = spec.height / 2.0
     radius = CIRCLE_RADIUS_FRACTION * min(spec.width, spec.height)
-
-    def sx(value: float) -> float:
-        return cx + radius * value
-
-    def sy(value: float) -> float:
-        return cy - radius * value
-
-    parts = _svg_open(spec)
-    parts.append(_line(0.0, cy, float(spec.width), cy))
-    parts.append(_line(cx, 0.0, cx, float(spec.height)))
-    parts.append(
+    x_lo, x_hi = correlations.lo[:, jx], correlations.hi[:, jx]
+    y_lo, y_hi = correlations.lo[:, jy], correlations.hi[:, jy]
+    circle = (
         f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
         f'fill="none" stroke="#444444" stroke-width="1"/>'
     )
-    parts.append(
-        _text(float(spec.width) - 4.0, cy - 6.0, "end",
-              correlations.cols[jx], "#444444")
-    )
-    parts.append(
-        _text(cx + 6.0, 14.0, "start", correlations.cols[jy], "#444444")
-    )
-    for i, name in enumerate(correlations.rows):
-        color = PALETTE[i % len(PALETTE)]
-        x_lo, x_hi = correlations.lo[i, jx], correlations.hi[i, jx]
-        y_lo, y_hi = correlations.lo[i, jy], correlations.hi[i, jy]
-        parts.append(
-            _rect(sx(x_lo), sy(y_hi), radius * (x_hi - x_lo),
-                  radius * (y_hi - y_lo), color)
-        )
-        if spec.labels:
-            parts.append(
-                _text(sx((x_lo + x_hi) / 2.0), sy((y_lo + y_hi) / 2.0),
-                      "middle", name, color)
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    rects = (cx + radius * x_lo, cy - radius * y_hi,
+             radius * (x_hi - x_lo), radius * (y_hi - y_lo))
+    marks = (cx + radius * ((x_lo + x_hi) / 2.0),
+             cy - radius * ((y_lo + y_hi) / 2.0))
+    return _figure(spec, (cx, cy), (correlations.cols[jx], correlations.cols[jy]),
+                   [circle], correlations.rows, rects, marks, "middle")
 
 
 def render_plane(scores: IntervalMatrix, spec: PlotSpec) -> str:
@@ -188,30 +186,17 @@ def render_plane(scores: IntervalMatrix, spec: PlotSpec) -> str:
     def sy(value: float) -> float:
         return (y1 - value) * spec.height / (y1 - y0)
 
-    parts = _svg_open(spec)
-    parts.append(_line(0.0, sy(0.0), float(spec.width), sy(0.0)))
-    parts.append(_line(sx(0.0), 0.0, sx(0.0), float(spec.height)))
-    parts.append(
-        _text(float(spec.width) - 4.0, sy(0.0) - 6.0, "end",
-              scores.cols[jx], "#444444")
-    )
-    parts.append(_text(sx(0.0) + 6.0, 14.0, "start", scores.cols[jy], "#444444"))
     x_lo, x_hi = scores.lo[:, jx], scores.hi[:, jx]
     y_lo, y_hi = scores.lo[:, jy], scores.hi[:, jy]
     left, right, top, bottom = sx(x_lo), sx(x_hi), sy(y_hi), sy(y_lo)
     # a degenerate score gets a 2-px marker centered on the point
     point = (x_lo == x_hi) & (y_lo == y_hi)
-    rects = zip(
-        np.where(point, left - 1.0, left).tolist(),
-        np.where(point, bottom - 1.0, top).tolist(),
-        np.where(point, 2.0, right - left).tolist(),
-        np.where(point, 2.0, bottom - top).tolist(),
+    rects = (
+        np.where(point, left - 1.0, left),
+        np.where(point, bottom - 1.0, top),
+        np.where(point, 2.0, right - left),
+        np.where(point, 2.0, bottom - top),
     )
-    marks = zip((right + 3.0).tolist(), (top - 3.0).tolist())
-    for i, (name, rect, mark) in enumerate(zip(scores.rows, rects, marks)):
-        color = PALETTE[i % len(PALETTE)]
-        parts.append(_rect(*rect, color))
-        if spec.labels:
-            parts.append(_text(*mark, "start", name, color))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    marks = (right + 3.0, top - 3.0)
+    return _figure(spec, (sx(0.0), sy(0.0)), (scores.cols[jx], scores.cols[jy]),
+                   [], scores.rows, rects, marks, "start")

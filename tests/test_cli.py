@@ -250,11 +250,16 @@ class TestExitCodes:
         (("[0,0]", "[1e-150,1e-150]", "[0,0]", "[-8e157,8e157]"),
          "is too large in magnitude to standardize: its interval widths overflow "
          "when standardized"),
-    ], ids=["bounds-overflow", "variance-underflow", "width-overflow"])
+        # Standardizes, but sqrt(9) times the last radius overflows the scores.
+        (("[0,0]", "[1e-150,1e-150]") + ("[0,0]",) * 6 + ("[-6.1e157,6.1e157]",),
+         "is too large in magnitude for interval PCA: its interval radii overflow "
+         "when projected onto the components"),
+    ], ids=["bounds-overflow", "variance-underflow", "width-overflow",
+            "scaled-radius-overflow"])
     def test_unstandardizable_column_is_2(self, cells, message, tmp_path, capsys):
         rows = "".join(
             f'{label},"{cell}","[{y},{y}]"\n'
-            for label, cell, y in zip("abcd", cells, (1, 3, 2, 4))
+            for label, cell, y in zip("abcdefghi", cells, (1, 3, 2, 4, 5, 6, 7, 8, 9))
         )
         src = tmp_path / "edge.csv"
         src.write_text(",x,y\n" + rows, encoding="utf-8")

@@ -61,6 +61,8 @@ class TestIntervalMatrix:
         kept = t.without_columns(["y"])
         assert kept.cols == ("x", "z")
         assert kept.cell(0, 1) == Interval(2.0, 3.0)
+        assert kept == IntervalMatrix(kept.rows, kept.cols, kept.lo, kept.hi)
+        assert not np.shares_memory(kept.lo, t.lo)
         with pytest.raises(DataError, match="no column named"):
             t.without_columns(["nope"])
 

@@ -117,6 +117,35 @@ class TestStandardize:
             with pytest.raises(DataError, match=match):
                 pca_auto(t)
 
+    @pytest.mark.parametrize("m, cols, lo, hi", [
+        # The widths standardize to a finite 1.3e308; sqrt(9) times the radii
+        # does not. At m = 4 that product is the width, which standardize
+        # checks, so the case needs m > 4.
+        (9, ("x",), -6.1e157, 6.1e157),
+        # sqrt(4) times each radius is finite, but the row's sum over two
+        # such columns in the score product is not.
+        (4, ("x", "w"), -7.5e157, 7.5e157),
+    ], ids=["scaled-radius-overflow", "projected-radius-overflow"])
+    def test_score_radius_overflow_named_in_error(self, m, cols, lo, hi):
+        mids = np.zeros((m, len(cols)))
+        mids[1] = 1e-150
+        low = np.column_stack([mids, np.arange(m, dtype=float)])
+        high = low.copy()
+        high[:, -1] += 1.0
+        low[-1, :-1], high[-1, :-1] = lo, hi
+        # w's huge cell is a little narrower, so x holds the largest radius.
+        high[-1, 1:-1] *= 0.99
+        low[-1, 1:-1] *= 0.99
+        t = IntervalMatrix(tuple("abcdefghi")[:m], cols + ("y",), low, high)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            standardize(t)
+            with pytest.raises(DataError, match=(
+                "column 'x' is too large in magnitude for interval PCA: its "
+                "interval radii overflow when projected onto the components"
+            )):
+                pca_auto(t)
+
     def test_constant_column_named_in_error(self):
         t = IntervalMatrix(
             ("r", "s"), ("flat", "x"),

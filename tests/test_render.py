@@ -223,3 +223,30 @@ class TestRenderPlaneBytes:
             'font-family="sans-serif" font-size="12" fill="#d62728">box</text>\n'
             "</svg>\n"
         )
+
+
+def _circle_table() -> IntervalMatrix:
+    # Exact data inside [-1, 1]: integer quotients, correctly rounded on any
+    # platform; 13 rows wrap the palette, and one label needs escaping.
+    i = np.arange(13.0)
+    lo = np.column_stack([(i * 37 % 150 - 100) / 100, (i * 53 % 120 - 90) / 100,
+                          -i / 13])
+    hi = lo + np.column_stack([(i % 5) / 10, (i % 3) / 8, i / 26])
+    rows = tuple(f"v{k}" for k in range(12)) + ("a<b&c",)
+    return IntervalMatrix(rows, ("PC1", "PC2", "PC3"), lo, hi)
+
+
+# Bytes as rendered by the circle's per-row loop, before the two plots shared
+# one figure body.
+class TestRenderCircleBytes:
+    def test_default_spec(self):
+        assert _sha256(render_circle(_circle_table(), PlotSpec())) == (
+            "682c86deb88b1f2c353878ead99e01f09101f92c09510e308154d9a5d6581d5d"
+        )
+
+    def test_unlabelled_with_title(self):
+        spec = PlotSpec(axis_x=3, axis_y=1, width=333, height=101, labels=False,
+                        title="A&B <circle>")
+        assert _sha256(render_circle(_circle_table(), spec)) == (
+            "cbe1cfa3c5a1569f54a7c0c20748acdcc40ed465bb0b2908a5e16e8c03bd3d05"
+        )
