@@ -4,6 +4,8 @@ Interval cells use the bracket grammar ``[lo,hi]`` (whitespace tolerated,
 scientific notation accepted). A second read-only layout with paired columns
 ``name.lo`` / ``name.hi`` is recognized for spreadsheet interoperability.
 Files are UTF-8; LF and CRLF inputs are both accepted, output uses LF.
+Both CSV forms are read by one ``str.split`` tokeniser in row blocks, as
+long as it reads them as ``csv.reader`` would; other text goes to the reader.
 """
 
 from __future__ import annotations
@@ -12,9 +14,10 @@ import csv
 import io
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, NoReturn, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -29,10 +32,14 @@ __all__ = [
     "aggregate_classic",
 ]
 
-# The bracket grammar. ``_bracket_texts`` accepts the same cells in bulk;
-# this pattern only words the error once a table is rejected.
+# The bracket grammar. On the csv.reader path ``_bracket_texts`` splits the
+# cells in bulk; this pattern only words the error once a table is rejected.
 _CELL_RE = re.compile(r"^\s*\[\s*([^,\[\]\s]+)\s*,\s*([^,\[\]\s]+)\s*\]\s*$")
 _PAIR_RE = re.compile(r"^(.+)\.(lo|hi)$")
+
+# Characters of body text per row block. A block ends at the first line end
+# after this many characters, so its lines are whole records.
+_BLOCK = 1 << 20
 
 
 def _parse_number(text: str, where: str) -> float:
@@ -57,6 +64,23 @@ def _check_bracket_cell(cell: str, where: str) -> None:
     _check_bounds(match.groups(), where)
 
 
+class _Layout(NamedTuple):
+    """What a header says about the body of a table.
+
+    ``convert`` turns the labels and the row-major field texts of some
+    records into a tuple of lists and arrays (one row per record), or None
+    to reject them; ``cells`` and ``check`` word the first error once a
+    table is rejected (see ``_raise_first_error``).
+    """
+
+    cols: tuple[str, ...]  # the output's column names
+    width: int  # fields in a record after its label
+    bracketed: bool  # a field is a [lo,hi] cell, converted as two texts
+    convert: Callable[[Sequence[str], list[str]], tuple | None]
+    cells: Callable[[list[str]], Iterable[tuple[str, Any]]]
+    check: Callable[[Any, str], object]
+
+
 def _read_records(text: str) -> list[list[str]]:
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
@@ -68,47 +92,141 @@ def _read_records(text: str) -> list[list[str]]:
     return records
 
 
-def _plain_lines(text: str) -> list[str] | None:
-    """The non-empty lines of a text that ``csv.reader`` would split at
-    every "," and "\\n" and nowhere else; None when the text needs the reader:
-    it holds a quote, a carriage return or a NUL, or a line longer than the
-    field size limit, on which the reader raises.
+def _header(text: str) -> tuple[list[str] | None, int]:
+    """The first record of a text without a carriage return, read by
+    ``csv.reader`` line by line, and the offset of the line after it."""
+    end = 0
 
-    ``str.splitlines()`` would also break at characters the reader keeps in
-    a field ("\\x1c", "\\x85", "\\u2028").
+    def lines() -> Iterator[str]:
+        nonlocal end
+        while end < len(text):
+            start, end = end, text.find("\n", end) + 1 or len(text)
+            yield text[start:end]
+
+    return next(filter(None, csv.reader(lines())), None), end
+
+
+def _row_blocks(text: str, start: int) -> Iterator[list[str]]:
+    """The non-empty lines of ``text[start:]`` (the reader drops empty
+    records), in blocks of about ``_BLOCK`` characters.
+
+    Only "\\n" ends a line: ``str.splitlines()`` would also break at
+    characters the reader keeps in a field ("\\x1c", "\\x85", "\\u2028").
     """
-    if '"' in text or "\r" in text or "\x00" in text:
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        yield list(filter(None, text[start:end].split("\n")))
+        start = end
+
+
+def _plain_fields(lines: list[str], width: int) -> tuple[list[str], list[str]] | None:
+    """The labels and the other fields of quote-free records of ``width``
+    fields after the label; None when a line holds a quote or another
+    number of fields."""
+    if any(line.count(",") != width for line in lines):
         return None
-    lines = list(filter(None, text.split("\n")))  # the reader drops empty records
-    if max(map(len, lines), default=0) > csv.field_size_limit():
+    joined = ",".join(lines)
+    if '"' in joined:
         return None
-    return lines
+    fields = joined.split(",") if lines else []  # "".split(",") is [""]
+    labels = fields[:: width + 1]
+    del fields[:: width + 1]
+    return labels, fields
 
 
-def _read_table(text: str) -> tuple[list[str], list[str] | None]:
-    """Tokenise CSV text into its header record and the fields of its body,
-    row-major in one flat list; the list is None when some body record's
-    length differs from the header's.
+def _bracket_fields(lines: list[str], width: int) -> tuple[Sequence[str], list[str]] | None:
+    """The labels and bound texts, two per cell, of records written as
+    ``label,"[lo,hi]",...,"[lo,hi]"`` with ``width`` cells; None when a line
+    has another form, or a quote in its label or bounds.
 
-    Quote-free text is split with ``str.split``, anything else is read with
-    ``csv.reader``; both give the same fields.
+    The label is split off first: a label such as ``ab]"`` followed by
+    ``,"[1,2]"`` would otherwise lose its bracket and quote to the
+    separators taken off the cells.
     """
-    lines = _plain_lines(text)
-    if lines is None:
-        header, *body = _read_records(text)
-        width = len(header)
-        if any(len(record) != width for record in body):
-            return header, None
-        return header, list(chain.from_iterable(body))
     if not lines:
-        raise DataError("empty input: no header row")
-    header = lines[0].split(",")
-    body = lines[1:]
-    commas = len(header) - 1
-    if any(line.count(",") != commas for line in body):
-        return header, None
-    # "".split(",") is [""], not []: a header-only text has no fields
-    return header, ",".join(body).split(",") if body else []
+        return [], []
+    labels, _, rests = zip(*[line.partition(",") for line in lines])
+    if '"' in "".join(labels) or any(rest.count(']","[') != width - 1 for rest in rests):
+        return None
+    body = "\n".join(rests)
+    del rests
+    if not (body.startswith('"[') and body.endswith(']"')):
+        return None
+    # Each cell separator, within a line or across one, becomes an empty
+    # field, and every third field is deleted. A quote anywhere else stays
+    # in a bound, and so does an empty field off every third place (a cell
+    # whose bounds are not two comma-separated texts): float() refuses both.
+    fields = body[2:-2].replace(']","[', ",,").replace(']"\n"[', ",,").split(",")
+    if len(fields) != 3 * width * len(lines) - 1:
+        return None
+    del fields[2::3]
+    return labels, fields
+
+
+def _fast_table(
+    text: str, layout_of: Callable[[list[str]], _Layout]
+) -> tuple[_Layout, list[tuple]] | None:
+    """Tokenise and convert the body row block by row block with
+    ``str.split``; None as soon as the text needs ``csv.reader``: it holds
+    a carriage return or a NUL, a quote outside the header and canonical
+    bracket cells, or a line longer than the field size limit (the reader
+    raises on a longer field), or the layout rejects its header or a block.
+    """
+    if "\r" in text or "\x00" in text:
+        return None
+    try:
+        header, start = _header(text)
+        if header is None:
+            return None
+        layout = layout_of(header)
+    except (csv.Error, DataError):
+        return None  # the csv.reader path raises the same error, in order
+    split = _bracket_fields if layout.bracketed else _plain_fields
+    limit = csv.field_size_limit()
+    parts = []
+    for lines in _row_blocks(text, start):
+        tokens = max(map(len, lines), default=0) <= limit and split(lines, layout.width)
+        part = tokens and layout.convert(*tokens)
+        if not part:
+            return None
+        parts.append(part)
+    return layout, parts
+
+
+def _read_table(
+    text: str, layout_of: Callable[[list[str]], _Layout]
+) -> tuple[_Layout, tuple]:
+    """Read a CSV table whose header ``layout_of`` interprets: the layout,
+    and the converted body, lists joined end to end and arrays stacked.
+
+    Quote-free text and canonically quoted bracket files are read in row
+    blocks (``_fast_table``); any other text goes whole to ``csv.reader``.
+    Both give the same values and labels, and the same first error.
+    """
+    fast = _fast_table(text, layout_of)
+    if fast is None:
+        header, *body = _read_records(text)
+        layout = layout_of(header)
+        part = None
+        if all(len(record) == len(header) for record in body):
+            texts = list(chain.from_iterable(record[1:] for record in body))
+            if layout.bracketed:
+                texts = _bracket_texts(texts)
+            if texts is not None:
+                part = layout.convert([record[0] for record in body], texts)
+        if part is None:
+            _raise_first_error(len(header), body, layout)
+        return layout, part
+    layout, parts = fast
+    if not parts:
+        return layout, layout.convert([], [])
+    if len(parts) == 1:
+        return layout, parts[0]
+    return layout, tuple(
+        np.concatenate(slot) if isinstance(slot[0], np.ndarray)
+        else list(chain.from_iterable(slot))
+        for slot in zip(*parts)
+    )
 
 
 def _header_names(header: list[str]) -> list[str]:
@@ -127,51 +245,37 @@ def _finite_floats(texts: list[str]) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _ordered_bounds(
-    texts: list[str], rows: int, lo_idx: Sequence[int], hi_idx: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _interval_rows(
+    labels: Sequence[str], texts: list[str], lo_idx: Sequence[int], hi_idx: Sequence[int]
+) -> tuple[Sequence[str], np.ndarray, np.ndarray] | None:
     """Gather a row-major grid of bound texts into lo/hi arrays by column
     index; None when a text is not a finite number or some lo exceeds hi."""
     values = _finite_floats(texts)
     if values is None:
         return None
-    grid = values.reshape(rows, len(lo_idx) + len(hi_idx))
+    grid = values.reshape(len(labels), len(lo_idx) + len(hi_idx))
     # take() keeps lo/hi row-major: column reductions downstream then add in
     # the same order, and give the same bits, as on a cell-by-cell fill.
     lo, hi = grid.take(lo_idx, axis=1), grid.take(hi_idx, axis=1)
-    return (lo, hi) if (lo <= hi).all() else None
+    return (labels, lo, hi) if (lo <= hi).all() else None
 
 
-def _take_labels(fields: list[str], width: int) -> list[str]:
-    """Remove the record labels, every ``width``-th field from the first,
-    from a flat row-major field list, and return them."""
-    labels = fields[::width]
-    del fields[::width]
-    return labels
-
-
-def _raise_first_error(
-    text: str,
-    cells: Callable[[list[str]], Iterable[tuple[str, Any]]],
-    check: Callable[[Any, str], object],
-) -> NoReturn:
-    """Walk the body records of ``text`` in order and raise the first error:
-    a ragged row, else the first of its ``(column, cell)`` pairs that
-    ``check`` rejects.
+def _raise_first_error(width: int, body: list[list[str]], layout: _Layout) -> NoReturn:
+    """Walk the body records in order and raise the first error: a ragged
+    row, else the first of its ``(column, cell)`` pairs that the layout's
+    check rejects.
 
     Runs only after the bulk pass has rejected the table, so that the
     message names the same cell, in the same words, as a cell-by-cell parse.
     """
-    header, *body = _read_records(text)
-    width = len(header)
     for record in body:
         if len(record) != width:
             raise DataError(
                 f"ragged row {record[0]!r}: expected {width} fields, "
                 f"got {len(record)}"
             )
-        for column, cell in cells(record):
-            check(cell, f"(row {record[0]!r}, column {column!r})")
+        for column, cell in layout.cells(record):
+            layout.check(cell, f"(row {record[0]!r}, column {column!r})")
     raise AssertionError("bulk parse rejected a table every cell check accepts")
 
 
@@ -187,53 +291,22 @@ def parse_interval_csv(text: str) -> IntervalMatrix:
     inverted bounds, ragged rows, or duplicate labels; the message names the
     first bad cell in record order.
     """
-    header, fields = _read_table(text)
+    layout, (rows, lo, hi) = _read_table(text, _interval_layout)
+    return IntervalMatrix(tuple(rows), layout.cols, lo, hi)
+
+
+def _interval_layout(header: list[str]) -> _Layout:
     names = _header_names(header)
-    if all(_PAIR_RE.match(n) for n in names) and names:
-        return _parse_paired(text, names, fields)
-    return _parse_bracketed(text, names, fields)
-
-
-def _bracket_texts(cells: Iterable[str]) -> list[str] | None:
-    """Split ``[lo,hi]`` cells into their bound texts, two per cell; None
-    when a cell is not bracketed or holds no comma.
-
-    It accepts every cell ``_CELL_RE`` does, and more: a bound text holding
-    a comma, a bracket or inner whitespace, which ``float()`` then rejects.
-    ``str.strip()`` removes the grammar's ``\\s`` whitespace; ``float()``
-    alone would leave some of it (``"\\x1c"``).
-    """
-    texts: list[str] = []
-    add = texts.append
-    for cell in cells:
-        head, _, tail = cell.strip().partition(",")
-        if head[:1] != "[" or tail[-1:] != "]":  # no comma: the tail is ""
-            return None
-        add(head[1:].strip())
-        add(tail[:-1].strip())
-    return texts
-
-
-def _parse_bracketed(
-    text: str, cols: list[str], fields: list[str] | None
-) -> IntervalMatrix:
-    bounds = None
-    if fields is not None:
-        rows = _take_labels(fields, len(cols) + 1)
-        texts = _bracket_texts(fields)
-        if texts is not None:
-            per_row = 2 * len(cols)
-            bounds = _ordered_bounds(
-                texts, len(rows), range(0, per_row, 2), range(1, per_row, 2)
-            )
-    if bounds is None:
-        _raise_first_error(text, lambda record: zip(cols, record[1:]), _check_bracket_cell)
-    return IntervalMatrix(tuple(rows), tuple(cols), *bounds)
-
-
-def _parse_paired(
-    text: str, names: list[str], fields: list[str] | None
-) -> IntervalMatrix:
+    if not all(_PAIR_RE.match(n) for n in names):
+        per_row = 2 * len(names)
+        return _Layout(
+            tuple(names),
+            len(names),
+            True,
+            partial(_interval_rows, lo_idx=range(0, per_row, 2), hi_idx=range(1, per_row, 2)),
+            lambda record: zip(names, record[1:]),
+            _check_bracket_cell,
+        )
     bases: list[str] = []
     slots: dict[str, dict[str, int]] = {}
     for j, name in enumerate(names):
@@ -249,20 +322,38 @@ def _parse_paired(
             raise DataError(f"incomplete bound pair for column {base!r}")
     lo_idx = [slots[base]["lo"] for base in bases]
     hi_idx = [slots[base]["hi"] for base in bases]
-    bounds = None
-    if fields is not None:
-        rows = _take_labels(fields, len(names) + 1)
-        bounds = _ordered_bounds(fields, len(rows), lo_idx, hi_idx)
-    if bounds is None:
-        _raise_first_error(
-            text,
-            lambda record: (
-                (base, (record[1 + a], record[1 + b]))
-                for base, a, b in zip(bases, lo_idx, hi_idx)
-            ),
-            _check_bounds,
-        )
-    return IntervalMatrix(tuple(rows), tuple(bases), *bounds)
+    return _Layout(
+        tuple(bases),
+        len(names),
+        False,
+        partial(_interval_rows, lo_idx=lo_idx, hi_idx=hi_idx),
+        lambda record: (
+            (base, (record[1 + a], record[1 + b]))
+            for base, a, b in zip(bases, lo_idx, hi_idx)
+        ),
+        _check_bounds,
+    )
+
+
+def _bracket_texts(cells: Iterable[str]) -> list[str] | None:
+    """Split ``[lo,hi]`` cells into their bound texts, two per cell; None
+    when a cell is not bracketed or holds no comma.
+
+    Runs on the ``csv.reader`` path only. It accepts every cell ``_CELL_RE``
+    does, and more: a bound text holding a comma, a bracket or inner
+    whitespace, which ``float()`` then rejects. ``str.strip()`` removes the
+    grammar's ``\\s`` whitespace; ``float()`` alone would leave some of it
+    (``"\\x1c"``), so a bound padded with it is read on this path only.
+    """
+    texts: list[str] = []
+    add = texts.append
+    for cell in cells:
+        head, _, tail = cell.strip().partition(",")
+        if head[:1] != "[" or tail[-1:] != "]":  # no comma: the tail is ""
+            return None
+        add(head[1:].strip())
+        add(tail[:-1].strip())
+    return texts
 
 
 def write_interval_csv(table: IntervalMatrix) -> str:
@@ -337,46 +428,60 @@ def parse_classic_csv(
     may hold text; naming an unknown column, or the concept column, is a
     DataError.
     """
-    header, fields = _read_table(text)
+    layout, (rows, labels, values) = _read_table(
+        text, partial(_classic_layout, concept=concept, exclude=set(exclude))
+    )
+    return ClassicTable(
+        tuple(rows), layout.cols, values, concept=concept, concept_labels=tuple(labels)
+    )
+
+
+def _classic_layout(header: list[str], concept: str | None, exclude: set[str]) -> _Layout:
     names = _header_names(header)
     if len(set(names)) != len(names):
         raise DataError("duplicate column label in classic table header")
-    concept_idx: int | None = None
-    if concept is not None:
-        if concept not in names:
-            raise DataError(f"concept column {concept!r} not found")
-        concept_idx = names.index(concept)
-    drop = set(exclude)
-    unknown = (drop - set(names)) | (drop & {concept})
+    if concept is not None and concept not in names:
+        raise DataError(f"concept column {concept!r} not found")
+    unknown = (exclude - set(names)) | (exclude & {concept})
     if unknown:
         raise DataError(f"no column named {sorted(unknown)[0]!r}")
-    gone = {j for j, name in enumerate(names) if name == concept or name in drop}
+    gone = [j for j, name in enumerate(names) if name == concept or name in exclude]
     data_idx = [j for j in range(len(names)) if j not in gone]
-    values = None
-    if fields is not None:
-        width = len(header)
-        concept_labels: tuple[str, ...] = ()
-        if concept_idx is not None:
-            concept_labels = tuple(map(str.strip, fields[1 + concept_idx :: width]))
-        # Right to left, so a deletion moves none of the columns still to go.
-        for j in sorted(gone, reverse=True):
-            del fields[1 + j :: width]
-            width -= 1
-        rows = _take_labels(fields, width)
-        values = _finite_floats(fields)
-    if values is None:
-        _raise_first_error(
-            text,
-            lambda record: ((names[j], record[1 + j]) for j in data_idx),
-            _parse_number,
-        )
-    return ClassicTable(
-        tuple(rows),
+    return _Layout(
         tuple(names[j] for j in data_idx),
-        values.reshape(len(rows), len(data_idx)),
-        concept=concept,
-        concept_labels=concept_labels,
+        len(names),
+        False,
+        partial(
+            _classic_rows,
+            width=len(names),
+            concept_idx=None if concept is None else names.index(concept),
+            gone=gone[::-1],
+        ),
+        lambda record: ((names[j], record[1 + j]) for j in data_idx),
+        _parse_number,
     )
+
+
+def _classic_rows(
+    labels: list[str],
+    fields: list[str],
+    width: int,
+    concept_idx: int | None,
+    gone: list[int],
+) -> tuple[list[str], list[str], np.ndarray] | None:
+    """The labels, concept labels and value grid of a row-major field list
+    of ``width`` columns; None when a data field is not a finite number."""
+    concept_labels = []
+    if concept_idx is not None:
+        concept_labels = list(map(str.strip, fields[concept_idx::width]))
+    # Right to left, so a deletion moves none of the columns still to go.
+    for j in gone:
+        del fields[j::width]
+        width -= 1
+    values = _finite_floats(fields)
+    if values is None:
+        return None
+    return labels, concept_labels, values.reshape(len(labels), width)
 
 
 def aggregate_classic(table: ClassicTable, concept_col: str) -> IntervalMatrix:

@@ -5,6 +5,8 @@ import io
 import itertools
 import math
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from sympca import (
     parse_interval_csv,
     write_interval_csv,
 )
+from sympca import tableio
 from sympca.tableio import _PAIR_RE
 
 
@@ -435,8 +438,12 @@ def _reference_bounds(cell: str, where: str) -> tuple[float, float] | str:
     match = _GRAMMAR.match(cell)
     if match is None:
         return f"malformed interval cell {cell!r} at {where}"
+    return _reference_pair(match.groups(), where)
+
+
+def _reference_pair(texts: tuple[str, str], where: str) -> tuple[float, float] | str:
     bounds = []
-    for text in match.groups():
+    for text in texts:
         try:
             value = float(text)
         except ValueError:
@@ -643,17 +650,323 @@ class TestClassicTokeniserProperty:
     @example(",a\nr,1\x00\n")
     @example(',"a,b"\r\n"r",1\r\n')
     @example(",a\nr,1\rs,2\n")
+    @example(",a\nr\r,1\n")
+    @example(",a\nr\x00,1\n")
     def test_matches_csv_reader(self, text):
-        names = _column_names(text)
-        for concept, exclude in itertools.product(
-            (None, "?", *names), ((), ("?",), *((name,) for name in names[:2])),
-        ):
-            expected = _reference_classic(text, concept, exclude)
-            if isinstance(expected, str):
-                with pytest.raises(DataError) as info:
-                    parse_classic_csv(text, concept=concept, exclude=exclude)
-                assert str(info.value) == expected
-            else:
-                t = parse_classic_csv(text, concept=concept, exclude=exclude)
-                got = (t.rows, t.cols, t.concept_labels, t.values.ravel().tolist())
-                assert got == expected
+        _check_classic(text)
+
+    @settings(deadline=None, max_examples=200)
+    @given(_classic_texts())
+    @example("\n,a\n\nr,1\n\n\ns,2\n")
+    @example(",k,a\nr, CA ,1\ns,NV,2\nt,CA,3\n")
+    @example(",a\nr,1\ns,\"2\"\n")  # a quote in a late block
+    def test_matches_csv_reader_small_blocks(self, text):
+        with mock.patch.object(tableio, "_BLOCK", 4):
+            _check_classic(text)
+
+
+def _check_classic(text: str) -> None:
+    """parse_classic_csv against the csv reference, under every concept and
+    exclude= choice the header allows, one unknown name included."""
+    names = _column_names(text)
+    for concept, exclude in itertools.product(
+        (None, "?", *names), ((), ("?",), *((name,) for name in names[:2])),
+    ):
+        expected = _reference_classic(text, concept, exclude)
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as info:
+                parse_classic_csv(text, concept=concept, exclude=exclude)
+            assert str(info.value) == expected
+        else:
+            t = parse_classic_csv(text, concept=concept, exclude=exclude)
+            got = (t.rows, t.cols, t.concept_labels, t.values.ravel().tolist())
+            assert got == expected
+
+
+def _reference_interval(text: str):
+    """parse_interval_csv as csv.reader records, the bracket grammar per cell
+    and one float() per bound: the table, or the first error's message."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        records = [record for record in reader if record]
+    except csv.Error as exc:
+        return f"unreadable CSV at line {reader.line_num}: {exc}"
+    if not records:
+        return "empty input: no header row"
+    header, *body = records
+    names = header[1:]
+    if not names:
+        return "header must name at least one data column"
+    if all(_PAIR_RE.match(name) for name in names):
+        slots: dict[str, dict[str, int]] = {}
+        for j, name in enumerate(names):
+            base, side = _PAIR_RE.match(name).groups()
+            if side in slots.setdefault(base, {}):
+                return f"duplicate column label: {name!r}"
+            slots[base][side] = j
+        for base, sides in slots.items():
+            if set(sides) != {"lo", "hi"}:
+                return f"incomplete bound pair for column {base!r}"
+        cols = list(slots)
+        cells = lambda record: [
+            (base, _reference_pair((record[1 + s["lo"]], record[1 + s["hi"]]), where))
+            for base, s in slots.items()
+            for where in [f"(row {record[0]!r}, column {base!r})"]
+        ]
+    else:
+        cols = names
+        cells = lambda record: [
+            (col, _reference_bounds(cell, f"(row {record[0]!r}, column {col!r})"))
+            for col, cell in zip(names, record[1:])
+        ]
+    bounds = []
+    for record in body:
+        if len(record) != len(header):
+            return (
+                f"ragged row {record[0]!r}: expected {len(header)} fields, "
+                f"got {len(record)}"
+            )
+        for _, cell in cells(record):
+            if isinstance(cell, str):
+                return cell
+            bounds.append(cell)
+    grid = np.array(bounds, dtype=float).reshape(len(body), len(cols), 2)
+    try:
+        return IntervalMatrix(
+            tuple(record[0] for record in body), tuple(cols), grid[..., 0], grid[..., 1]
+        )
+    except DataError as exc:
+        return str(exc)
+
+
+# Bracket cells as write_interval_csv quotes them, and forms only csv.reader
+# reads right: a quote or CR inside, a record spread over two lines, outer
+# whitespace, no quotes, a bound padded with \x1c (which only str.strip()
+# removes), a cell that is not two bounds.
+_CELL_FORMS = (
+    ['"[{},{}]"', '"[ {} ,\t{} ]"'],
+    ['[{},{}]', '" [{},{}] "', '"[{}\x1c,{}]"', '"[{},{}]"x', '"[{},{},1]"',
+     '"[{}{}]"', '"[{},""{}]"', '"[{}\r,{}]"', '"[{}\x00,{}]"', '"[{},{}]\n"',
+     "{},{}", '"[{},{}],[1,2]"'],
+)
+_BOUNDS = (
+    [("1", "1"), ("-2.5", "1e3"), ("-0.0", "0"), ("0", "-0.0"), (" 4 ", "1_0")],
+    [("2", "1"), ("x", "1"), ("nan", "1"), ("", "2"), ("1", "1e999"), ("1", ".")],
+)
+# Labels csv.reader reads as one field, and one ('"[') it does not.
+_ODD_LABELS = (['"q"', ']"', 'ab]"', "a\x1cb", ' "x" ', '"a,b"', "a b", ""], ['"['])
+
+
+@st.composite
+def _interval_texts(draw):
+    """Interval CSV texts, bracketed or paired; half of them with no fault
+    but their labels, and a fifth of the rest any text of the characters
+    that matter to either tokeniser."""
+    faulty = draw(st.booleans())
+    if faulty and draw(st.integers(0, 4)) == 0:
+        return draw(st.text(st.sampled_from(list(',\n\r"[]\x00 \x1c1.x')), max_size=30))
+
+    def pick(right_wrong):
+        right, wrong = right_wrong
+        return draw(_mostly(right, wrong) if faulty else st.sampled_from(right))
+
+    def rare():
+        return faulty and draw(st.integers(0, 9)) == 0
+
+    n = draw(st.integers(1, 3))
+    paired = draw(st.integers(0, 3)) == 0
+    if paired:
+        sides = [(f"c{j}.lo", f"c{j}.hi") for j in range(n)]
+        names = [name for pair in sides for name in draw(st.permutations(pair))]
+        names[-1] = pick(([names[-1]], ["c0.lo", "d.hi", "c"]))
+    else:
+        names = [pick(([f"c{j}"], ['"a,b"', '"q""x"', "c0"])) for j in range(n)]
+    records = [["", *names]]
+    for i in range(draw(st.integers(0, 5))):
+        odd = pick(_ODD_LABELS)
+        label = draw(_mostly([f"r{i}"], [odd, f"{odd}{i}"]))
+        bounds = [pick(_BOUNDS) for _ in range(n)]
+        if paired:
+            cells = [text for pair in bounds for text in pair]
+        else:
+            cells = [pick(_CELL_FORMS).format(*pair) for pair in bounds]
+        records.append([label, *(cells[:-1] if rare() else cells)])
+    nl = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    ends = st.sampled_from([nl, nl, nl + nl])  # some records followed by a blank line
+    text = "".join(
+        ",".join(record) + (nl + " " + nl if rare() else draw(ends)) for record in records
+    )
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+def _check_interval(text: str) -> None:
+    expected = _reference_interval(text)
+    if isinstance(expected, str):
+        with pytest.raises(DataError) as info:
+            parse_interval_csv(text)
+        assert str(info.value) == expected
+    else:
+        t = parse_interval_csv(text)
+        assert (t.rows, t.cols) == (expected.rows, expected.cols)
+        assert t.lo.tobytes() == expected.lo.tobytes()
+        assert t.hi.tobytes() == expected.hi.tobytes()
+
+
+class TestBracketTokeniserProperty:
+    # parse_interval_csv reads quote-free text and canonically quoted bracket
+    # cells in row blocks and any other text with csv.reader; both must agree
+    # with the csv reference on values, labels and the first error.
+    @settings(deadline=None, max_examples=400)
+    @given(_interval_texts())
+    @example(',a\nab]","[1,2]"\n')  # csv keeps the label ab]"
+    @example(',a\nab]",1,2]"\n')
+    @example(',a\n"[,"[1,2]"\n')
+    @example(',a\n]",1\ns,"[1,2]"\n')
+    @example(',a,b\nr,"[1,2,3]","[4]"\n')  # two bounds in all, split wrongly
+    @example(',a,b\nr,"[1,2]","[3,4]","[5,6]"\ns,"[7,8]"\n')  # cells moved across rows
+    @example(',a\nr,"[1,,2]"\n')
+    @example(',a\nr,"[1,2,]"\n')  # one field too many, in the right places
+    @example(',a\nr,xx1,2]"\n')
+    @example(',a\nr,"[1,2xx\n')
+    @example(',a\nr,"[1,2]"\ns,xx3,4]"\n')
+    @example(',a\nr,"[1,"2]"\n')
+    @example(',a\nr\r,"[1,2]"\n')  # csv.reader ends a record at a CR
+    @example(',a\nr\x00,"[1,2]"\n')  # NUL: unreadable before Python 3.11
+    @example(',a\nr,"[]"\n')
+    @example(',a\n\nr,"[1,2]"\n\n\ns,"[ 3 , 4 ]"\n')
+    @example(',a\nr,"[1\x1c,2]"\n')  # \x1c pads a bracket bound
+    @example(',a\nr,"[1,2]\n[3,4]"\n')
+    @example(',"a,b"\nr,"[1,2]"\n')  # a quoted header, canonical cells
+    @example(",a.lo,a.hi\nr,1,2\ns,-0.0,0\n")
+    @example(",a.hi,a.lo\nr,2,1\n")
+    def test_matches_csv_reader(self, text):
+        _check_interval(text)
+
+    @settings(deadline=None, max_examples=200)
+    @given(_interval_texts())
+    @example(',a\nr,"[1,2]"\ns,"[3,4]"\nt,"[x,1]"\n')
+    @example(',a\nr,"[1,2]"\ns,"[3,4]"\n"t","[5,6]"\n')
+    @example(",a.lo,a.hi\nr,1,2\ns,3,4\nt,5\n")
+    def test_matches_csv_reader_small_blocks(self, text):
+        with mock.patch.object(tableio, "_BLOCK", 4):
+            _check_interval(text)
+
+
+def _classic_text(m: int, n: int) -> str:
+    """A classic table of m records: a concept column, a text column and n
+    numbers a record."""
+    values = np.random.default_rng(11).normal(0.0, 100.0, (m, n)).tolist()
+    lines = [",state,note," + ",".join(f"v{j}" for j in range(n))]
+    lines += (
+        f"rec{i},S{i % 500:03d},n{i}," + ",".join(map(repr, row))
+        for i, row in enumerate(values)
+    )
+    return "\n".join(lines) + "\n"
+
+
+def _traced_peak(parse) -> int:
+    tracemalloc.start()
+    try:
+        parse()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestParseMemory:
+    # Row blocks bound what a parse holds besides its result: the tokens of
+    # one block, not a string per field of the whole text.
+    def test_classic_peak(self):
+        text = _classic_text(20000, 20)
+        peak = _traced_peak(lambda: parse_classic_csv(text, concept="state", exclude=["note"]))
+        assert peak <= 2.5 * len(text)
+
+    def test_bracket_peak(self):
+        rng = np.random.default_rng(12)
+        lo = rng.normal(0.0, 100.0, (20000, 20))
+        table = IntervalMatrix(
+            tuple(f"r{i}" for i in range(20000)), tuple(f"v{j}" for j in range(20)),
+            lo, lo + rng.uniform(0.0, 10.0, lo.shape),
+        )
+        text = write_interval_csv(table)
+        peak = _traced_peak(lambda: parse_interval_csv(text))
+        assert peak <= 2.5 * len(text)
+
+
+class TestRowBlocks:
+    # A block of 16 characters holds one record: every error and fallback
+    # below lies in a late block.
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(tableio, "_BLOCK", 16)
+
+    def _rows(self, m: int) -> list[str]:
+        return [f"r{i},{i},{i + 1}" for i in range(m)]
+
+    def test_malformed_number_before_ragged_row(self):
+        rows = self._rows(40)
+        rows[30] = "r30,30,x"
+        rows[35] = "r35,35"
+        with pytest.raises(DataError) as info:
+            parse_classic_csv(",a,b\n" + "\n".join(rows) + "\n")
+        assert str(info.value) == "malformed number 'x' at (row 'r30', column 'b')"
+
+    def test_ragged_row_before_malformed_number(self):
+        rows = self._rows(40)
+        rows[30] = "r30,30"
+        rows[35] = "r35,35,x"
+        with pytest.raises(DataError) as info:
+            parse_classic_csv(",a,b\n" + "\n".join(rows) + "\n")
+        assert str(info.value) == "ragged row 'r30': expected 3 fields, got 2"
+
+    def test_bracket_errors_in_order(self):
+        rows = [f'r{i},"[{i},{i + 1}]"' for i in range(40)]
+        rows[30] = 'r30,"[31,30]"'
+        rows[35] = 'r35,"[1,2]","[3,4]"'
+        with pytest.raises(DataError) as info:
+            parse_interval_csv(",a\n" + "\n".join(rows) + "\n")
+        assert str(info.value) == "lower bound exceeds upper bound at (row 'r30', column 'a')"
+
+    def test_concept_and_excluded_text_column(self):
+        rows = [f"r{i},S{i % 3},note {i},{i},{-i}" for i in range(40)]
+        t = parse_classic_csv(
+            ",state,note,a,b\n" + "\n".join(rows) + "\n", concept="state", exclude=["note"]
+        )
+        assert t.rows == tuple(f"r{i}" for i in range(40))
+        assert t.cols == ("a", "b")
+        assert t.concept_labels == tuple(f"S{i % 3}" for i in range(40))
+        assert t.values.tolist() == [[i, -i] for i in range(40)]
+
+    def test_late_fallbacks_match_one_block(self, monkeypatch):
+        bracket = [f'r{i},"[{i},{i + 1}]"' for i in range(40)]
+        bracket[30] = 'r30,"[30\x1c, 31]"'  # \x1c: read on the csv.reader path
+        bracket[35] = '"r35","[35,36]"'
+        text = ",a\n" + "\n".join(bracket) + "\n"
+        small = parse_interval_csv(text)
+        monkeypatch.setattr(tableio, "_BLOCK", 1 << 20)
+        assert parse_interval_csv(text) == small
+        assert small.rows[35] == "r35" and small.hi[30, 0] == 31.0
+
+    @pytest.mark.parametrize(
+        "parse,cell",
+        [(parse_classic_csv, "{}"), (parse_interval_csv, '"[0,{}]"')],
+        ids=["classic", "bracketed"],
+    )
+    def test_field_over_limit_in_late_block(self, parse, cell):
+        # zeros, so that float() would read the field
+        limit = csv.field_size_limit()
+        rows = [f"r{i}," + cell.format(i) for i in range(20)]
+        rows.append("q," + cell.format("0" * (limit + 1)))
+        with pytest.raises(DataError) as info:
+            parse(",a\n" + "\n".join(rows) + "\n")
+        assert str(info.value) == (
+            f"unreadable CSV at line 22: field larger than field limit ({limit})"
+        )
+
+    def test_line_over_limit_in_late_block_parses(self):
+        n = csv.field_size_limit() // 2 + 1
+        rows = ["r" + ",1" * n] * 3 + ["s" + ",2" * n]
+        rows = [f"{row[0]}{i}{row[1:]}" for i, row in enumerate(rows)]
+        text = "," + ",".join(f"c{j}" for j in range(n)) + "\n" + "\n".join(rows) + "\n"
+        t = parse_classic_csv(text)
+        assert t.shape == (4, n) and t.values[3].min() == 2.0
