@@ -15,7 +15,8 @@ from sympca import centers_matrix, clamp_correlations, load_oils_table, pca_auto
 
 table = load_oils_table()
 print(f"data: {table.shape[0]} objects x {table.shape[1]} interval variables")
-print("first row,", table.rows[0], "->", [str(table.cell(0, j)) for j in range(4)])
+cells = [f"[{lo!r}, {hi!r}]" for lo, hi in zip(table.lo[0].tolist(), table.hi[0].tolist())]
+print("first row,", table.rows[0], "->", cells)
 
 # The analysis works on midpoints: standardize them, eigendecompose, then
 # recover interval outputs by projecting the interval bounds.

@@ -13,7 +13,6 @@ enumeration.
 import numpy as np
 
 from sympca import (
-    Interval,
     load_oils_table,
     pca_ztz,
     pca_zzt,
@@ -41,14 +40,12 @@ print(f"max interval-score difference:        {score_diff:.2e}")
 # The closed-form projection equals exhaustive vertex enumeration: take the
 # first object's standardized score bounds and try all 2^4 corners.
 bundle = standardize(table)
-m, n = bundle.z.shape
+m = bundle.z.shape[0]
 root_m = np.sqrt(m)
-row = [
-    Interval(bundle.bounds.low[0, j] * root_m, bundle.bounds.high[0, j] * root_m)
-    for j in range(n)
-]
-oracle = vertex_extremes(row, via_small.loadings_u[:, 0])
+oracle = vertex_extremes(
+    bundle.bounds.low[0] * root_m, bundle.bounds.high[0] * root_m, via_small.loadings_u[:, 0]
+)
 closed = (via_small.scores.lo[0, 0], via_small.scores.hi[0, 0])
 print(f"\nfirst object, first component:")
 print(f"  closed-form projection: [{closed[0]:.6f}, {closed[1]:.6f}]")
-print(f"  vertex enumeration:     [{oracle.lo:.6f}, {oracle.hi:.6f}]")
+print(f"  vertex enumeration:     [{oracle[0]:.6f}, {oracle[1]:.6f}]")

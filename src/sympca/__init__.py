@@ -12,7 +12,6 @@ from .datasets import load_oils_table
 from .errors import DataError, NumericError
 from .intervals import (
     BoundsPair,
-    Interval,
     IntervalMatrix,
     interval_project,
     vertex_extremes,
@@ -45,7 +44,6 @@ __all__ = [
     "BoundsPair",
     "ClassicTable",
     "DataError",
-    "Interval",
     "IntervalMatrix",
     "NumericError",
     "PcaResult",

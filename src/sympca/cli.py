@@ -53,12 +53,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_axes(text: str) -> tuple[int, int]:
+def _parse_axes(text: str) -> PlotSpec:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("axes must look like 1,2")
     try:
-        return int(parts[0]), int(parts[1])
+        return PlotSpec(axis_x=int(parts[0]), axis_y=int(parts[1]))
+    except DataError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError("axes must be integers") from None
 
@@ -104,16 +106,20 @@ def _cmd_pca(args: argparse.Namespace) -> None:
 
 def _cmd_plot(args: argparse.Namespace) -> None:
     result = _run_pca(args)
-    spec = PlotSpec(axis_x=args.axes[0], axis_y=args.axes[1])
     if args.command == "plot-circle":
-        svg = render_circle(clamp_correlations(result.correlations), spec)
+        svg = render_circle(clamp_correlations(result.correlations), args.axes)
     else:
-        svg = render_plane(result.scores, spec)
+        svg = render_plane(result.scores, args.axes)
     Path(args.output).write_text(svg, encoding="utf-8")
 
 
 def _cmd_bench(args: argparse.Namespace) -> None:
-    report = benchmark_paths(args.m, args.n, args.trials)
+    try:
+        report = benchmark_paths(args.m, args.n, args.trials)
+    except DataError:
+        raise
+    except ValueError as exc:  # the sizes or trial count, not the data
+        raise _UsageError(str(exc)) from None
     print(f"bench m={report.m} n={report.n} trials={report.trials}")
     print(f"{'path':<6} {'median_s':>12}")
     print(f"{'zzt':<6} {report.median_zzt:>12.6f}")
@@ -168,7 +174,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         add_io(p, "output SVG path")
         add_method(p)
-        p.add_argument("--axes", type=_parse_axes, default=(1, 2),
+        p.add_argument("--axes", type=_parse_axes, default=PlotSpec(),
                        help="pair of 1-based component indices (default 1,2)")
         add_exclude(p)
         p.set_defaults(handler=_cmd_plot)

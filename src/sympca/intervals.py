@@ -25,7 +25,6 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
-    "Interval",
     "BoundsPair",
     "IntervalMatrix",
     "interval_project",
@@ -38,31 +37,6 @@ VERTEX_ENUM_LIMIT = 25
 
 # Vertices enumerated per chunk, to bound oracle memory at high dimension.
 _ENUM_CHUNK = 1 << 16
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A closed real interval [lo, hi] with lo <= hi, both finite.
-
-    Degenerate intervals (lo == hi) are allowed and represent classic
-    point values.
-    """
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        lo = float(self.lo)
-        hi = float(self.hi)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise DataError(f"interval bounds must be finite, got [{lo}, {hi}]")
-        if lo > hi:
-            raise DataError(f"lower bound exceeds upper bound: [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __repr__(self) -> str:
-        return f"[{self.lo!r}, {self.hi!r}]"
 
 
 def _check_finite(arr: np.ndarray, name: str) -> None:
@@ -188,9 +162,6 @@ class IntervalMatrix:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.cols))
 
-    def cell(self, i: int, j: int) -> Interval:
-        return Interval(self.lo[i, j], self.hi[i, j])
-
     def without_columns(self, names: Sequence[str]) -> "IntervalMatrix":
         """Drop the named columns; unknown names are an error."""
         drop = set(names)
@@ -198,6 +169,8 @@ class IntervalMatrix:
         if unknown:
             raise DataError(f"no column named {sorted(unknown)[0]!r}")
         keep = [j for j, c in enumerate(self.cols) if c not in drop]
+        if not keep:
+            raise DataError("no data column left: every column is excluded")
         # A subset of checked labels and cells keeps every fact checked.
         return IntervalMatrix._derived(
             self.rows,
@@ -271,16 +244,16 @@ def interval_project(
     return IntervalMatrix(row_labels, col_labels, lo, hi)
 
 
-def vertex_extremes(bounds_row: Sequence, weight) -> Interval:
+def vertex_extremes(low, high, weight) -> tuple[float, float]:
     """Brute-force oracle: min/max projection over all hypercube vertices.
 
-    Enumerates every lo/hi combination of ``bounds_row`` (2**n vertices,
-    n capped at ``VERTEX_ENUM_LIMIT``), projects each vertex onto
-    ``weight`` and returns the observed [min, max].
+    Enumerates every combination of the 1-D bound arrays ``low`` and
+    ``high`` (2**n vertices, n capped at ``VERTEX_ENUM_LIMIT``), projects
+    each vertex onto ``weight`` and returns the observed ``(min, max)``.
     """
-    cells = [c if isinstance(c, Interval) else Interval(c[0], c[1]) for c in bounds_row]
+    bounds = BoundsPair([low], [high])
     w = np.asarray(weight, dtype=float).ravel()
-    n = len(cells)
+    n = bounds.shape[1]
     if n != w.size:
         raise DataError(
             f"length mismatch: {n} intervals vs {w.size} weights"
@@ -289,10 +262,7 @@ def vertex_extremes(bounds_row: Sequence, weight) -> Interval:
         raise DataError(
             f"vertex enumeration limited to {VERTEX_ENUM_LIMIT} dimensions, got {n}"
         )
-    if n == 0:
-        return Interval(0.0, 0.0)
-    lo = np.array([c.lo for c in cells])
-    hi = np.array([c.hi for c in cells])
+    lo, hi = bounds.low[0], bounds.high[0]
     shifts = np.arange(n, dtype=np.uint64)
     best_min = np.inf
     best_max = -np.inf
@@ -304,4 +274,4 @@ def vertex_extremes(bounds_row: Sequence, weight) -> Interval:
         projs = verts @ w
         best_min = min(best_min, float(projs.min()))
         best_max = max(best_max, float(projs.max()))
-    return Interval(best_min, best_max)
+    return best_min, best_max

@@ -9,7 +9,8 @@ which writes the axes, their names and the labelled rectangles.
 
 Geometry contract (documented so output can be inverted exactly):
 
-* circle: center (width/2, height/2), radius 0.42 * min(width, height);
+* viewport: a fixed 600 x 600.
+* circle: center (300, 300), radius 0.42 * 600 = 252;
   a correlation point (cx, cy) maps to
   ``svg_x = center_x + radius * cx``, ``svg_y = center_y - radius * cy``.
 * plane: the score bounding box, padded by 5% of its span per axis, maps
@@ -33,6 +34,7 @@ from .intervals import IntervalMatrix
 
 __all__ = ["PlotSpec", "render_circle", "render_plane", "PALETTE"]
 
+VIEWPORT_SIZE = 600  # width and height, in px
 CIRCLE_RADIUS_FRACTION = 0.42
 PLANE_PADDING_FRACTION = 0.05
 
@@ -48,16 +50,13 @@ _FONT = 'font-family="sans-serif" font-size="12"'
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """Which components to plot and how big the canvas is.
+    """Which components to plot, and the figure's title.
 
     Component indices are 1-based, matching the PC1, PC2, ... labels.
     """
 
     axis_x: int = 1
     axis_y: int = 2
-    width: int = 600
-    height: int = 600
-    labels: bool = True
     title: str = ""
 
     def __post_init__(self) -> None:
@@ -65,8 +64,6 @@ class PlotSpec:
             raise DataError("axis_x and axis_y must differ")
         if self.axis_x < 1 or self.axis_y < 1:
             raise DataError("component indices are 1-based and positive")
-        if self.width <= 0 or self.height <= 0:
-            raise DataError("viewport dimensions must be positive")
 
 
 def _fmt(x: float) -> str:
@@ -115,26 +112,25 @@ def _figure(spec: PlotSpec, origin: tuple[float, float], names: tuple[str, str],
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">',
+        f'width="{VIEWPORT_SIZE}" height="{VIEWPORT_SIZE}" '
+        f'viewBox="0 0 {VIEWPORT_SIZE} {VIEWPORT_SIZE}">',
     ]
     if spec.title:
         parts.append(
-            f'<text x="{_fmt(spec.width / 2)}" y="16" text-anchor="middle" '
+            f'<text x="{_fmt(VIEWPORT_SIZE / 2)}" y="16" text-anchor="middle" '
             f'{_FONT}>{escape(spec.title)}</text>'
         )
-    parts.append(_line(0.0, oy, float(spec.width), oy))
-    parts.append(_line(ox, 0.0, ox, float(spec.height)))
+    parts.append(_line(0.0, oy, float(VIEWPORT_SIZE), oy))
+    parts.append(_line(ox, 0.0, ox, float(VIEWPORT_SIZE)))
     parts.extend(extra)
-    parts.append(_text(float(spec.width) - 4.0, oy - 6.0, "end", names[0], "#444444"))
+    parts.append(_text(float(VIEWPORT_SIZE) - 4.0, oy - 6.0, "end", names[0], "#444444"))
     parts.append(_text(ox + 6.0, 14.0, "start", names[1], "#444444"))
     rects = zip(*(a.tolist() for a in rects))
     marks = zip(*(a.tolist() for a in marks))
     for i, (name, rect, mark) in enumerate(zip(rows, rects, marks)):
         color = PALETTE[i % len(PALETTE)]
         parts.append(_rect(*rect, color))
-        if spec.labels:
-            parts.append(_text(*mark, anchor, name, color))
+        parts.append(_text(*mark, anchor, name, color))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -149,9 +145,8 @@ def render_circle(correlations: IntervalMatrix, spec: PlotSpec) -> str:
         raise DataError(
             "correlation intervals must be clamped to [-1, 1] before rendering"
         )
-    cx = spec.width / 2.0
-    cy = spec.height / 2.0
-    radius = CIRCLE_RADIUS_FRACTION * min(spec.width, spec.height)
+    cx = cy = VIEWPORT_SIZE / 2.0
+    radius = CIRCLE_RADIUS_FRACTION * VIEWPORT_SIZE
     x_lo, x_hi = correlations.lo[:, jx], correlations.hi[:, jx]
     y_lo, y_hi = correlations.lo[:, jy], correlations.hi[:, jy]
     circle = (
@@ -181,10 +176,10 @@ def render_plane(scores: IntervalMatrix, spec: PlotSpec) -> str:
     y0, y1 = y_min - y_pad, y_max + y_pad
 
     def sx(value: float) -> float:
-        return (value - x0) * spec.width / (x1 - x0)
+        return (value - x0) * VIEWPORT_SIZE / (x1 - x0)
 
     def sy(value: float) -> float:
-        return (y1 - value) * spec.height / (y1 - y0)
+        return (y1 - value) * VIEWPORT_SIZE / (y1 - y0)
 
     x_lo, x_hi = scores.lo[:, jx], scores.hi[:, jx]
     y_lo, y_hi = scores.lo[:, jy], scores.hi[:, jy]

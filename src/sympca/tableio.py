@@ -447,6 +447,8 @@ def _classic_layout(header: list[str], concept: str | None, exclude: set[str]) -
         raise DataError(f"no column named {sorted(unknown)[0]!r}")
     gone = [j for j, name in enumerate(names) if name == concept or name in exclude]
     data_idx = [j for j in range(len(names)) if j not in gone]
+    if not data_idx:
+        raise DataError("no data column left: every column is the concept or excluded")
     return _Layout(
         tuple(names[j] for j in data_idx),
         len(names),

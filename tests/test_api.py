@@ -15,7 +15,6 @@ PUBLIC = [
     "BoundsPair",
     "ClassicTable",
     "DataError",
-    "Interval",
     "IntervalMatrix",
     "NumericError",
     "PcaResult",

@@ -43,7 +43,7 @@ class TestAggregate:
         table = parse_interval_csv(out.read_text(encoding="utf-8"))
         assert table.rows == ("CA", "NV")
         assert table.cols == ("fold", "x", "y")
-        assert table.cell(0, 1).lo == 0.1 and table.cell(0, 1).hi == 0.5
+        assert table.lo[0, 1] == 0.1 and table.hi[0, 1] == 0.5
 
     def test_exclude_cols(self, tmp_path):
         src = tmp_path / "classic.csv"
@@ -84,6 +84,20 @@ class TestAggregate:
         ])
         assert code == 2
         assert capsys.readouterr().err == f"error: no column named {name!r}\n"
+        assert not out.exists()
+
+    def test_exclude_every_data_column_is_2(self, tmp_path, capsys):
+        src = tmp_path / "classic.csv"
+        src.write_text(CLASSIC, encoding="utf-8")
+        out = tmp_path / "intervals.csv"
+        code = main([
+            "aggregate", "--input", str(src), "--output", str(out),
+            "--by", "state", "--exclude-cols", "fold,x,y",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: no data column left: every column is the concept or excluded\n"
+        )
         assert not out.exists()
 
 
@@ -153,6 +167,18 @@ class TestPcaCommand:
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["correlations"]["rows"] == ["GRA", "FRE"]
 
+    def test_exclude_every_column_is_2(self, oils_csv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = main([
+            "pca", "--input", str(oils_csv), "--output", str(out),
+            "--exclude-cols", "GRA,FRE,IOD,SAP",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: no data column left: every column is excluded\n"
+        )
+        assert not out.exists()
+
 
 class TestPlotCommands:
     @pytest.mark.parametrize("command", ["plot-circle", "plot-plane"])
@@ -174,6 +200,18 @@ class TestPlotCommands:
         assert code == 0
         assert ">PC3<" in out.read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("axes,message", [
+        ("0,1", "component indices are 1-based and positive"),
+        ("2,2", "axis_x and axis_y must differ"),
+    ])
+    def test_invalid_axes_are_1(self, axes, message, oils_csv, tmp_path, capsys):
+        out = tmp_path / "plot.svg"
+        code = main(["plot-circle", "--input", str(oils_csv), "--output", str(out),
+                     "--axes", axes])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: argument --axes: {message}\n"
+        assert not out.exists()
+
 
 class TestBenchCommand:
     def test_small_run(self, capsys):
@@ -182,9 +220,13 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "zzt" in out and "ztz" in out and "auto selects" in out
 
-    def test_bad_size_is_2(self, capsys):
-        assert main(["bench", "--m", "1", "--n", "4"]) == 2
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [["--m", "1", "--n", "4"],
+                                      ["--m", "30", "--n", "4", "--trials", "0"]])
+    def test_bad_size_is_1(self, argv, capsys):
+        assert main(["bench", *argv]) == 1
+        assert capsys.readouterr().err == (
+            "error: need m >= 2, n >= 1, trials >= 1\n"
+        )
 
 
 class TestExitCodes:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sympca import (
     BoundsPair,
     DataError,
-    Interval,
     IntervalMatrix,
     interval_project,
     vertex_extremes,
@@ -16,29 +15,32 @@ from sympca import (
 
 
 class TestInterval:
+    """One closed interval [lo, hi], given to the oracle as one-entry bound
+    arrays and projected onto the unit weight, which returns it unchanged."""
+
     def test_basic(self):
-        iv = Interval(1.0, 2.5)
-        assert iv.lo == 1.0 and iv.hi == 2.5
+        assert vertex_extremes(np.array([1.0]), np.array([2.5]), [1.0]) == (1.0, 2.5)
 
     def test_degenerate_allowed(self):
-        iv = Interval(5, 5)
-        assert iv.lo == iv.hi == 5.0
+        assert vertex_extremes(np.array([5.0]), np.array([5.0]), [1.0]) == (5.0, 5.0)
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(DataError, match="lower bound exceeds"):
-            Interval(2, 1)
+            vertex_extremes(np.array([2.0]), np.array([1.0]), [1.0])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_rejected(self, bad):
-        with pytest.raises(DataError):
-            Interval(bad, bad)
+        with pytest.raises(DataError, match="non-finite"):
+            vertex_extremes(np.array([bad]), np.array([bad]), [1.0])
+        with pytest.raises(DataError, match="high contains non-finite"):
+            vertex_extremes(np.array([0.0]), np.array([bad]), [1.0])
 
 
 class TestIntervalMatrix:
     def test_shape_and_cells(self):
         t = IntervalMatrix(("a", "b"), ("x",), [[0.0], [1.0]], [[0.5], [2.0]])
         assert t.shape == (2, 1)
-        assert t.cell(1, 0) == Interval(1.0, 2.0)
+        assert (t.lo[1, 0], t.hi[1, 0]) == (1.0, 2.0)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DataError, match="duplicate row label"):
@@ -60,11 +62,13 @@ class TestIntervalMatrix:
         )
         kept = t.without_columns(["y"])
         assert kept.cols == ("x", "z")
-        assert kept.cell(0, 1) == Interval(2.0, 3.0)
+        assert (kept.lo[0, 1], kept.hi[0, 1]) == (2.0, 3.0)
         assert kept == IntervalMatrix(kept.rows, kept.cols, kept.lo, kept.hi)
         assert not np.shares_memory(kept.lo, t.lo)
         with pytest.raises(DataError, match="no column named"):
             t.without_columns(["nope"])
+        with pytest.raises(DataError, match="no data column left"):
+            t.without_columns(["x", "y", "z"])
 
     def test_derived_constructor_checks_finiteness(self):
         lo = np.array([[0.0, -np.inf]])
@@ -114,11 +118,10 @@ class TestIntervalProject:
         scale = (np.abs(bounds.low) + np.abs(bounds.high)) @ np.abs(w)
         m, q = out.shape
         for i in range(m):
-            row = list(zip(bounds.low[i], bounds.high[i]))
             for k in range(q):
-                expect = vertex_extremes(row, w[:, k])
-                assert abs(out.lo[i, k] - expect.lo) <= 1e-12 * scale[i, k]
-                assert abs(out.hi[i, k] - expect.hi) <= 1e-12 * scale[i, k]
+                lo, hi = vertex_extremes(bounds.low[i], bounds.high[i], w[:, k])
+                assert abs(out.lo[i, k] - lo) <= 1e-12 * scale[i, k]
+                assert abs(out.hi[i, k] - hi) <= 1e-12 * scale[i, k]
 
     def test_degenerate_equals_dot_product(self):
         rng = np.random.default_rng(1)
@@ -132,12 +135,12 @@ class TestIntervalProject:
         # positive weight keeps bounds, negative weight swaps them
         bounds = BoundsPair([[0.0, 0.0]], [[1.0, 1.0]])
         out = interval_project(bounds, [[1.0], [-1.0]])
-        assert out.cell(0, 0) == Interval(-1.0, 1.0)
+        assert (out.lo[0, 0], out.hi[0, 0]) == (-1.0, 1.0)
 
     def test_zero_weights_contribute_nothing(self):
         bounds = BoundsPair([[0.0, -5.0]], [[1.0, 7.0]])
         out = interval_project(bounds, [[2.0], [0.0]])
-        assert out.cell(0, 0) == Interval(0.0, 2.0)
+        assert (out.lo[0, 0], out.hi[0, 0]) == (0.0, 2.0)
 
     def test_matches_vertex_oracle_on_seeded_columns(self):
         # fixed-seed 3x2 bounds projected columnwise onto one weight vector
@@ -147,10 +150,9 @@ class TestIntervalProject:
         cols = BoundsPair(bounds.low.T, bounds.high.T)
         out = interval_project(cols, w)
         for i in range(2):
-            row = [Interval(cols.low[i, j], cols.high[i, j]) for j in range(3)]
-            expect = vertex_extremes(row, w[:, 0])
-            assert out.lo[i, 0] == pytest.approx(expect.lo, abs=1e-12)
-            assert out.hi[i, 0] == pytest.approx(expect.hi, abs=1e-12)
+            lo, hi = vertex_extremes(cols.low[i], cols.high[i], w[:, 0])
+            assert out.lo[i, 0] == pytest.approx(lo, abs=1e-12)
+            assert out.hi[i, 0] == pytest.approx(hi, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_oracle_equivalence_random(self, seed):
@@ -163,12 +165,11 @@ class TestIntervalProject:
         w[rng.uniform(size=w.shape) < 0.2] = 0.0  # exercise the zero branch
         out = interval_project(bounds, w)
         for i in range(m):
-            row = [Interval(bounds.low[i, j], bounds.high[i, j]) for j in range(n)]
             for k in range(q):
-                expect = vertex_extremes(row, w[:, k])
-                scale = max(1.0, abs(expect.lo), abs(expect.hi))
-                assert abs(out.lo[i, k] - expect.lo) <= 1e-12 * scale
-                assert abs(out.hi[i, k] - expect.hi) <= 1e-12 * scale
+                lo, hi = vertex_extremes(bounds.low[i], bounds.high[i], w[:, k])
+                scale = max(1.0, abs(lo), abs(hi))
+                assert abs(out.lo[i, k] - lo) <= 1e-12 * scale
+                assert abs(out.hi[i, k] - hi) <= 1e-12 * scale
 
     @pytest.mark.parametrize("seed", range(5))
     def test_containment_of_inner_points(self, seed):
@@ -210,40 +211,41 @@ class TestIntervalProject:
 class TestVertexExtremes:
     def test_two_interval_example(self):
         # vertices 0-1, 0-0, 1-1, 1-0 give the range [-1, 1]
-        out = vertex_extremes([Interval(0, 1), Interval(0, 1)], [1.0, -1.0])
-        assert out == Interval(-1.0, 1.0)
+        out = vertex_extremes(np.zeros(2), np.ones(2), [1.0, -1.0])
+        assert out == (-1.0, 1.0)
 
     def test_degenerate_row_is_single_vertex(self):
-        row = [Interval(2, 2), Interval(-1, -1), Interval(0.5, 0.5)]
+        p = np.array([2.0, -1.0, 0.5])
         w = [1.0, 2.0, -2.0]
-        out = vertex_extremes(row, w)
+        out = vertex_extremes(p, p, w)
         dot = 2 * 1 + (-1) * 2 + 0.5 * (-2)
-        assert out == Interval(dot, dot)
+        assert out == (dot, dot)
 
     def test_zero_weights(self):
-        out = vertex_extremes([Interval(-3, 5), Interval(1, 2)], [0.0, 0.0])
-        assert out == Interval(0.0, 0.0)
+        out = vertex_extremes(np.array([-3.0, 1.0]), np.array([5.0, 2.0]), [0.0, 0.0])
+        assert out == (0.0, 0.0)
 
-    def test_accepts_plain_pairs(self):
-        assert vertex_extremes([(0, 1)], [2.0]) == Interval(0.0, 2.0)
+    def test_empty_row(self):
+        assert vertex_extremes(np.zeros(0), np.zeros(0), []) == (0.0, 0.0)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="length mismatch"):
-            vertex_extremes([Interval(0, 1)], [1.0, 2.0])
+            vertex_extremes(np.zeros(1), np.ones(1), [1.0, 2.0])
+        with pytest.raises(DataError, match="bound shapes differ"):
+            vertex_extremes(np.zeros(1), np.ones(2), [1.0])
 
     def test_enumeration_guard(self):
-        row = [Interval(0, 1)] * 26
         with pytest.raises(DataError, match="enumeration limited"):
-            vertex_extremes(row, np.ones(26))
+            vertex_extremes(np.zeros(26), np.ones(26), np.ones(26))
 
     def test_chunked_enumeration_consistent(self):
         # above one chunk (2^17 vertices) the running min/max must still agree
         rng = np.random.default_rng(3)
-        row = [Interval(c - h, c + h) for c, h in
-               zip(rng.normal(size=17), rng.uniform(0, 1, size=17))]
+        c, h = rng.normal(size=17), rng.uniform(0, 1, size=17)
+        low, high = c - h, c + h
         w = rng.normal(size=17)
-        out = vertex_extremes(row, w)
-        lo = sum(iv.lo * x if x > 0 else iv.hi * x for iv, x in zip(row, w))
-        hi = sum(iv.hi * x if x > 0 else iv.lo * x for iv, x in zip(row, w))
-        assert out.lo == pytest.approx(lo, abs=1e-12)
-        assert out.hi == pytest.approx(hi, abs=1e-12)
+        out = vertex_extremes(low, high, w)
+        lo = sum(a * x if x > 0 else b * x for a, b, x in zip(low, high, w))
+        hi = sum(b * x if x > 0 else a * x for a, b, x in zip(low, high, w))
+        assert out[0] == pytest.approx(lo, abs=1e-12)
+        assert out[1] == pytest.approx(hi, abs=1e-12)

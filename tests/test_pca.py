@@ -22,7 +22,6 @@ from helpers import (
 from sympca import (
     BoundsPair,
     DataError,
-    Interval,
     IntervalMatrix,
     centers_matrix,
     clamp_correlations,
@@ -503,18 +502,16 @@ class TestVertexOracle:
         score_low = bundle.bounds.low * np.sqrt(m)
         score_high = bundle.bounds.high * np.sqrt(m)
         for i in range(m):
-            row = [Interval(score_low[i, j], score_high[i, j]) for j in range(n)]
             for k in range(res.eigenvalues.size):
-                expect = vertex_extremes(row, res.loadings_u[:, k])
-                assert res.scores.lo[i, k] == pytest.approx(expect.lo, abs=1e-12)
-                assert res.scores.hi[i, k] == pytest.approx(expect.hi, abs=1e-12)
+                lo, hi = vertex_extremes(score_low[i], score_high[i], res.loadings_u[:, k])
+                assert res.scores.lo[i, k] == pytest.approx(lo, abs=1e-12)
+                assert res.scores.hi[i, k] == pytest.approx(hi, abs=1e-12)
         for j in range(n):
-            col = [Interval(bundle.bounds.low[i, j], bundle.bounds.high[i, j])
-                   for i in range(m)]
             for k in range(res.eigenvalues.size):
-                expect = vertex_extremes(col, res.axes_v[:, k])
-                assert res.correlations.lo[j, k] == pytest.approx(expect.lo, abs=1e-12)
-                assert res.correlations.hi[j, k] == pytest.approx(expect.hi, abs=1e-12)
+                lo, hi = vertex_extremes(bundle.bounds.low[:, j], bundle.bounds.high[:, j],
+                                         res.axes_v[:, k])
+                assert res.correlations.lo[j, k] == pytest.approx(lo, abs=1e-12)
+                assert res.correlations.hi[j, k] == pytest.approx(hi, abs=1e-12)
 
 
 class TestDegenerateReduction:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import xml.etree.ElementTree as ET
 
@@ -28,6 +29,7 @@ class TestPlotSpec:
     def test_defaults(self):
         spec = PlotSpec()
         assert spec.axis_x == 1 and spec.axis_y == 2
+        assert [f.name for f in dataclasses.fields(PlotSpec)] == ["axis_x", "axis_y", "title"]
 
     def test_same_axes_rejected(self):
         with pytest.raises(DataError, match="must differ"):
@@ -36,10 +38,6 @@ class TestPlotSpec:
     def test_nonpositive_axis_rejected(self):
         with pytest.raises(DataError, match="1-based"):
             PlotSpec(axis_x=0, axis_y=1)
-
-    def test_bad_viewport_rejected(self):
-        with pytest.raises(DataError, match="positive"):
-            PlotSpec(width=0)
 
 
 class TestRenderCircle:
@@ -65,9 +63,9 @@ class TestRenderCircle:
         lo = rng.uniform(-1, 0.5, size=(6, 2))
         hi = lo + rng.uniform(0, 0.4, size=(6, 2))
         t = self._table(lo, np.clip(hi, None, 1.0))
-        spec = PlotSpec(width=640, height=480)
-        radius = 0.42 * 480
-        cx, cy = 320.0, 240.0
+        spec = PlotSpec()
+        radius = 252.0
+        cx, cy = 300.0, 300.0
         for i, rect in enumerate(_rects(render_circle(t, spec))):
             x = float(rect["x"])
             y = float(rect["y"])
@@ -106,13 +104,11 @@ class TestRenderCircle:
         spec = PlotSpec(title="circle")
         assert render_circle(clamped, spec) == render_circle(clamped, spec)
 
-    def test_labels_flag_and_title(self):
+    def test_label_and_title_escaped(self):
         t = self._table([[0.0, 0.0]], [[0.5, 0.5]], rows=("<weird&name>",))
-        with_labels = render_circle(t, PlotSpec(title="A&B"))
-        assert "&lt;weird&amp;name&gt;" in with_labels
-        assert "A&amp;B" in with_labels
-        without = render_circle(t, PlotSpec(labels=False))
-        assert "weird" not in without
+        svg = render_circle(t, PlotSpec(title="A&B"))
+        assert "&lt;weird&amp;name&gt;" in svg
+        assert "A&amp;B" in svg
 
 
 class TestRenderPlane:
@@ -131,10 +127,10 @@ class TestRenderPlane:
         y0, y1 = y_min - y_pad, y_max + y_pad
 
         def inv_x(sx):
-            return x0 + sx * (x1 - x0) / spec.width
+            return x0 + sx * (x1 - x0) / 600
 
         def inv_y(sy):
-            return y1 - sy * (y1 - y0) / spec.height
+            return y1 - sy * (y1 - y0) / 600
 
         for i, rect in enumerate(_rects(render_plane(t, spec))):
             x, y = float(rect["x"]), float(rect["y"])
@@ -190,10 +186,10 @@ class TestRenderPlaneBytes:
         )
 
     def test_unlabelled_with_title(self, oils):
-        spec = PlotSpec(axis_x=3, axis_y=1, width=640, height=480, labels=False,
-                        title="A&B <plane>")
+        # Also the bytes from before the viewport size was fixed at 600 x 600.
+        spec = PlotSpec(axis_x=3, axis_y=1, title="A&B <plane>")
         assert _sha256(render_plane(oils, spec)) == (
-            "a92fab50e2042495a341d167b5fee29af519ebe110c7b1e10cfd5d278ec7d60a"
+            "33ab8c183fbd8c87991931efe7b4b6e454d9883ec18b8b4de79b34602c0ec65e"
         )
 
     def test_degenerate_row(self):
@@ -245,8 +241,8 @@ class TestRenderCircleBytes:
         )
 
     def test_unlabelled_with_title(self):
-        spec = PlotSpec(axis_x=3, axis_y=1, width=333, height=101, labels=False,
-                        title="A&B <circle>")
+        # Also the bytes from before the viewport size was fixed at 600 x 600.
+        spec = PlotSpec(axis_x=3, axis_y=1, title="A&B <circle>")
         assert _sha256(render_circle(_circle_table(), spec)) == (
-            "cbe1cfa3c5a1569f54a7c0c20748acdcc40ed465bb0b2908a5e16e8c03bd3d05"
+            "a8b0c455351d04eeaf3237b2831eb0ea18cf61507145733c38fa6bd27e7e3e45"
         )

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from sympca import (
     ClassicTable,
     DataError,
-    Interval,
     IntervalMatrix,
     aggregate_classic,
     parse_classic_csv,
@@ -32,12 +31,12 @@ class TestParseIntervalCsv:
         text = ',GRA,FRE\nLinseed,"[0.93,0.935]","[-27,-18]"\n'
         t = parse_interval_csv(text)
         assert t.rows == ("Linseed",) and t.cols == ("GRA", "FRE")
-        assert t.cell(0, 0) == Interval(0.93, 0.935)
-        assert t.cell(0, 1) == Interval(-27.0, -18.0)
+        assert (t.lo[0, 0], t.hi[0, 0]) == (0.93, 0.935)
+        assert (t.lo[0, 1], t.hi[0, 1]) == (-27.0, -18.0)
 
     def test_degenerate_cell(self):
         t = parse_interval_csv(',a\nr,"[5,5]"\n')
-        assert t.cell(0, 0) == Interval(5.0, 5.0)
+        assert (t.lo[0, 0], t.hi[0, 0]) == (5.0, 5.0)
 
     def test_inverted_cell_with_position(self):
         with pytest.raises(DataError, match=r"row 'r'.*column 'a'"):
@@ -49,11 +48,11 @@ class TestParseIntervalCsv:
 
     def test_scientific_notation_and_whitespace(self):
         t = parse_interval_csv(',a\nr," [ 1e-3 , 2.5E+2 ] "\n')
-        assert t.cell(0, 0) == Interval(1e-3, 250.0)
+        assert (t.lo[0, 0], t.hi[0, 0]) == (1e-3, 250.0)
 
     def test_crlf_accepted(self):
         t = parse_interval_csv(',a\r\nr,"[1,2]"\r\n')
-        assert t.cell(0, 0) == Interval(1.0, 2.0)
+        assert (t.lo[0, 0], t.hi[0, 0]) == (1.0, 2.0)
 
     def test_ragged_row(self):
         with pytest.raises(DataError, match="ragged row 'r'"):
@@ -81,8 +80,8 @@ class TestPairedColumnLayout:
         paired = ",x.lo,x.hi,y.lo,y.hi\nr1,0,1,5,6\nr2,-2,-1,0,0\n"
         t = parse_interval_csv(paired)
         assert t.cols == ("x", "y")
-        assert t.cell(0, 0) == Interval(0.0, 1.0)
-        assert t.cell(1, 1) == Interval(0.0, 0.0)
+        assert (t.lo[0, 0], t.hi[0, 0]) == (0.0, 1.0)
+        assert (t.lo[1, 1], t.hi[1, 1]) == (0.0, 0.0)
 
     def test_incomplete_pair(self):
         with pytest.raises(DataError, match="incomplete bound pair"):
@@ -204,12 +203,12 @@ class TestAggregateClassic:
     def test_min_max_per_group(self):
         out = aggregate_classic(self._table(), "g")
         assert out.rows == ("a", "b")
-        assert out.cell(0, 0) == Interval(3.0, 5.0)
-        assert out.cell(0, 1) == Interval(10.0, 30.0)
+        assert (out.lo[0, 0], out.hi[0, 0]) == (3.0, 5.0)
+        assert (out.lo[0, 1], out.hi[0, 1]) == (10.0, 30.0)
 
     def test_singleton_group(self):
         out = aggregate_classic(self._table(), "g")
-        assert out.cell(1, 0) == Interval(7.0, 7.0)
+        assert (out.lo[1, 0], out.hi[1, 0]) == (7.0, 7.0)
 
     def test_first_appearance_order(self):
         t = ClassicTable(
@@ -221,7 +220,7 @@ class TestAggregateClassic:
         )
         out = aggregate_classic(t, "g")
         assert out.rows == ("z", "a")
-        assert out.cell(0, 0) == Interval(1.0, 3.0)
+        assert (out.lo[0, 0], out.hi[0, 0]) == (1.0, 3.0)
 
     def test_all_distinct_gives_degenerate_cells(self):
         t = ClassicTable(
@@ -254,7 +253,7 @@ class TestAggregateClassic:
         out = aggregate_classic(parse_classic_csv(text, concept="state"), "state")
         assert out.rows == ("0", "-0", "0.0")
         assert out.cols == ("x",)
-        assert out.cell(0, 0) == Interval(0.2, 0.5)
+        assert (out.lo[0, 0], out.hi[0, 0]) == (0.2, 0.5)
 
     def test_missing_concept(self):
         with pytest.raises(DataError, match="not found"):
@@ -336,6 +335,7 @@ CLASSIC_ERRORS = [
     (",a,b\nr1,1,bad\nr2,1\n", None, "malformed number 'bad' at (row 'r1', column 'b')"),
     (",a,b\nr1,1\nr2,1,bad\n", None, "ragged row 'r1': expected 3 fields, got 2"),
     (",a,b\nr1,1,2\nr2,1,2,3\n", None, "ragged row 'r2': expected 3 fields, got 4"),
+    (",state\nr1,a\n", "state", "no data column left: every column is the concept or excluded"),
 ]
 
 
@@ -371,14 +371,14 @@ class TestValidEdgeInputs:
     def test_interval_cells(self, text):
         t = parse_interval_csv(text)
         assert t.rows == ("r",) and t.cols == ("a",)
-        assert t.cell(0, 0) == Interval(1000.0, 2000.0)
+        assert (t.lo[0, 0], t.hi[0, 0]) == (1000.0, 2000.0)
 
     def test_interval_labels(self):
         text = ',"a,b","say ""x""",油\n"r,1","[1,2]","[3,4]","[5,6]"\nÖl,"[0,0]","[0,0]","[0,0]"\n'
         t = parse_interval_csv(text)
         assert t.rows == ("r,1", "Öl")
         assert t.cols == ("a,b", 'say "x"', "油")
-        assert t.cell(0, 2) == Interval(5.0, 6.0)
+        assert (t.lo[0, 2], t.hi[0, 2]) == (5.0, 6.0)
 
     def test_classic_cells_and_labels(self):
         text = ',"a,b",state,c\r\n"r ""1""",1_000, Öl ,\t-2.5 \r\n油,0,"N,V",1e3\r\n'
@@ -574,6 +574,8 @@ def _reference_classic(text: str, concept: str | None, exclude=()):
         if name not in names or name == concept:
             return f"no column named {name!r}"
     data = [j for j, name in enumerate(names) if name != concept and name not in exclude]
+    if not data:
+        return "no data column left: every column is the concept or excluded"
     values = []
     for record in body:
         if len(record) != len(header):
