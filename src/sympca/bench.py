@@ -8,7 +8,6 @@ measurements stay honest.
 
 from __future__ import annotations
 
-import statistics
 import time
 from dataclasses import dataclass
 
@@ -44,11 +43,11 @@ class BenchReport:
 
     @property
     def median_zzt(self) -> float:
-        return statistics.median(self.times_zzt)
+        return float(np.median(self.times_zzt))
 
     @property
     def median_ztz(self) -> float:
-        return statistics.median(self.times_ztz)
+        return float(np.median(self.times_ztz))
 
 
 def benchmark_paths(m: int, n: int, trials: int = 5) -> BenchReport:

@@ -65,6 +65,16 @@ def _parse_axes(text: str) -> PlotSpec:
         raise argparse.ArgumentTypeError("axes must be integers") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _column_names(text: str) -> list[str]:
     return [name.strip() for name in text.split(",") if name.strip()]
 
@@ -141,7 +151,7 @@ def _build_parser() -> _Parser:
             "--method", choices=("auto", "zzt", "ztz"), default="auto",
             help="eigenproblem route (default: auto picks the smaller matrix)",
         )
-        p.add_argument("--q", type=int, default=None,
+        p.add_argument("--q", type=_positive_int, default=None,
                        help="number of components (default: all positive)")
 
     def add_exclude(p: _Parser) -> None:

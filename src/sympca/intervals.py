@@ -70,7 +70,7 @@ class BoundsPair:
             i, j = np.argwhere(low > high)[0]
             raise DataError(
                 f"lower bound exceeds upper bound at ({i}, {j}): "
-                f"{low[i, j]!r} > {high[i, j]!r}"
+                f"{float(low[i, j])!r} > {float(high[i, j])!r}"
             )
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)

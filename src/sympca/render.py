@@ -25,7 +25,6 @@ produces byte-identical SVG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -94,10 +93,16 @@ def _line(x1: float, y1: float, x2: float, y2: float) -> str:
     )
 
 
+def _escape(text: str) -> str:
+    """XML-escape ``&``, ``>`` and ``<``, as ``xml.sax.saxutils.escape`` does
+    with no extra entities (importing that module loads the network stack)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _text(x: float, y: float, anchor: str, content: str, color: str) -> str:
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}" '
-        f'{_FONT} fill="{color}">{escape(content)}</text>'
+        f'{_FONT} fill="{color}">{_escape(content)}</text>'
     )
 
 
@@ -118,7 +123,7 @@ def _figure(spec: PlotSpec, origin: tuple[float, float], names: tuple[str, str],
     if spec.title:
         parts.append(
             f'<text x="{_fmt(VIEWPORT_SIZE / 2)}" y="16" text-anchor="middle" '
-            f'{_FONT}>{escape(spec.title)}</text>'
+            f'{_FONT}>{_escape(spec.title)}</text>'
         )
     parts.append(_line(0.0, oy, float(VIEWPORT_SIZE), oy))
     parts.append(_line(ox, 0.0, ox, float(VIEWPORT_SIZE)))

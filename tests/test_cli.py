@@ -311,6 +311,20 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == f"error: column 'x' {message}\n"
 
+    @pytest.mark.parametrize("command", ["pca", "plot-circle", "plot-plane"])
+    @pytest.mark.parametrize("q,message", [
+        ("0", "must be at least 1, got 0"),
+        ("-1", "must be at least 1, got -1"),
+        ("x", "invalid int value: 'x'"),
+    ])
+    def test_invalid_q_is_1(self, command, q, message, oils_csv, tmp_path, capsys):
+        out = tmp_path / "o.out"
+        code = main([command, "--input", str(oils_csv), "--output", str(out),
+                     "--q", q])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: argument --q: {message}\n"
+        assert not out.exists()
+
     def test_q_out_of_range_is_2(self, oils_csv, tmp_path):
         code = main([
             "pca", "--input", str(oils_csv), "--output",

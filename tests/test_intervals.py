@@ -25,8 +25,9 @@ class TestInterval:
         assert vertex_extremes(np.array([5.0]), np.array([5.0]), [1.0]) == (5.0, 5.0)
 
     def test_inverted_bounds_rejected(self):
-        with pytest.raises(DataError, match="lower bound exceeds"):
+        with pytest.raises(DataError) as info:
             vertex_extremes(np.array([2.0]), np.array([1.0]), [1.0])
+        assert str(info.value) == "lower bound exceeds upper bound at (0, 0): 2.0 > 1.0"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_rejected(self, bad):

@@ -3,9 +3,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sympca import (
     DataError,
@@ -16,6 +19,7 @@ from sympca import (
     render_circle,
     render_plane,
 )
+from sympca.render import _escape
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -109,6 +113,11 @@ class TestRenderCircle:
         svg = render_circle(t, PlotSpec(title="A&B"))
         assert "&lt;weird&amp;name&gt;" in svg
         assert "A&amp;B" in svg
+
+
+@given(st.text(alphabet=st.sampled_from("&<>;amplgt#x \"'") | st.characters()))
+def test_escape_matches_saxutils(text):
+    assert _escape(text) == escape(text)
 
 
 class TestRenderPlane:
