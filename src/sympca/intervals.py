@@ -39,16 +39,12 @@ VERTEX_ENUM_LIMIT = 25
 _ENUM_CHUNK = 1 << 16
 
 
-def _check_finite(arr: np.ndarray, name: str) -> None:
-    if not np.isfinite(arr).all():
-        raise DataError(f"{name} contains non-finite entries")
-
-
 def _as_bounds_array(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise DataError(f"{name} must be a 2-D array, got shape {arr.shape}")
-    _check_finite(arr, name)
+    if not np.isfinite(arr).all():
+        raise DataError(f"{name} contains non-finite entries")
     return arr
 
 
@@ -74,19 +70,6 @@ class BoundsPair:
             )
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
-
-    @classmethod
-    def _derived(cls, low: np.ndarray, high: np.ndarray) -> "BoundsPair":
-        """Trusted constructor for float arrays the library derives from
-        validated data by a monotone map, so shapes match and low <= high hold
-        by construction; only finiteness, which an overflow can break, is
-        checked."""
-        _check_finite(low, "low")
-        _check_finite(high, "high")
-        pair = object.__new__(cls)
-        object.__setattr__(pair, "low", low)
-        object.__setattr__(pair, "high", high)
-        return pair
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -130,14 +113,13 @@ class IntervalMatrix:
             raise DataError(
                 f"grid shape {lo.shape}/{hi.shape} does not match labels {expected}"
             )
-        if lo.size:
-            _check_grid_finite(lo, hi)
-            if np.any(lo > hi):
-                i, j = np.argwhere(lo > hi)[0]
-                raise DataError(
-                    f"lower bound exceeds upper bound at "
-                    f"(row {rows[i]!r}, column {cols[j]!r})"
-                )
+        _check_grid_finite(lo, hi)
+        if np.any(lo > hi):
+            i, j = np.argwhere(lo > hi)[0]
+            raise DataError(
+                f"lower bound exceeds upper bound at "
+                f"(row {rows[i]!r}, column {cols[j]!r})"
+            )
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "lo", lo)

@@ -63,7 +63,7 @@ def eigen_sym(a: np.ndarray) -> EigenDecomposition:
     mat = np.asarray(a, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DataError(f"matrix must be square, got shape {mat.shape}")
-    if mat.size and not np.all(np.isfinite(mat)):
+    if not np.all(np.isfinite(mat)):
         raise DataError("matrix contains non-finite entries")
     scale = float(np.abs(mat).max()) if mat.size else 0.0
     asym = float(np.abs(mat - mat.T).max()) if mat.size else 0.0

@@ -174,8 +174,7 @@ def standardize(x: IntervalMatrix) -> StandardizedBundle:
     their widths overflow.
     """
     z, low, high, _ = _standardize(x)
-    # The map is increasing, so low <= high holds as it did in x.
-    return StandardizedBundle(z=z, bounds=BoundsPair._derived(low, high))
+    return StandardizedBundle(z=z, bounds=BoundsPair(low, high))
 
 
 def _check_gram_size(route: str, side: int, other: str, other_side: int) -> None:
@@ -208,8 +207,6 @@ def _resolve_q(eig: EigenDecomposition, q: int | None) -> int:
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     """Per-column factor of -1 or 1 that makes each column's sign pivot,
     its lowest-index entry of (tied) largest magnitude, positive."""
-    if vectors.size == 0:
-        return np.ones(vectors.shape[1])
     mags = np.abs(vectors)
     tied = mags >= mags.max(axis=0) * (1.0 - _SIGN_TIE_RTOL)
     pivots = np.argmax(tied, axis=0)

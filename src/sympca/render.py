@@ -25,6 +25,7 @@ produces byte-identical SVG.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -59,6 +60,11 @@ class PlotSpec:
     title: str = ""
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.axis_x, Integral) and isinstance(self.axis_y, Integral)):
+            raise DataError(
+                f"component indices must be integers, got "
+                f"({self.axis_x!r}, {self.axis_y!r})"
+            )
         if self.axis_x == self.axis_y:
             raise DataError("axis_x and axis_y must differ")
         if self.axis_x < 1 or self.axis_y < 1:

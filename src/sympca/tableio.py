@@ -74,7 +74,6 @@ class _Layout(NamedTuple):
     """
 
     cols: tuple[str, ...]  # the output's column names
-    width: int  # fields in a record after its label
     bracketed: bool  # a field is a [lo,hi] cell, converted as two texts
     convert: Callable[[Sequence[str], list[str]], tuple | None]
     cells: Callable[[list[str]], Iterable[tuple[str, Any]]]
@@ -108,14 +107,17 @@ def _header(text: str) -> tuple[list[str] | None, int]:
 
 def _row_blocks(text: str, start: int) -> Iterator[list[str]]:
     """The non-empty lines of ``text[start:]`` (the reader drops empty
-    records), in blocks of about ``_BLOCK`` characters.
+    records), in blocks of about ``_BLOCK`` characters; at least one block,
+    empty when the text ends at ``start``.
 
     Only "\\n" ends a line: ``str.splitlines()`` would also break at
     characters the reader keeps in a field ("\\x1c", "\\x85", "\\u2028").
     """
-    while start < len(text):
+    while True:
         end = text.find("\n", start + _BLOCK) + 1 or len(text)
         yield list(filter(None, text[start:end].split("\n")))
+        if end == len(text):
+            return
         start = end
 
 
@@ -182,10 +184,11 @@ def _fast_table(
     except (csv.Error, DataError):
         return None  # the csv.reader path raises the same error, in order
     split = _bracket_fields if layout.bracketed else _plain_fields
+    width = len(header) - 1
     limit = csv.field_size_limit()
     parts = []
     for lines in _row_blocks(text, start):
-        tokens = max(map(len, lines), default=0) <= limit and split(lines, layout.width)
+        tokens = max(map(len, lines), default=0) <= limit and split(lines, width)
         part = tokens and layout.convert(*tokens)
         if not part:
             return None
@@ -218,10 +221,6 @@ def _read_table(
             _raise_first_error(len(header), body, layout)
         return layout, part
     layout, parts = fast
-    if not parts:
-        return layout, layout.convert([], [])
-    if len(parts) == 1:
-        return layout, parts[0]
     return layout, tuple(
         np.concatenate(slot) if isinstance(slot[0], np.ndarray)
         else list(chain.from_iterable(slot))
@@ -301,7 +300,6 @@ def _interval_layout(header: list[str]) -> _Layout:
         per_row = 2 * len(names)
         return _Layout(
             tuple(names),
-            len(names),
             True,
             partial(_interval_rows, lo_idx=range(0, per_row, 2), hi_idx=range(1, per_row, 2)),
             lambda record: zip(names, record[1:]),
@@ -324,7 +322,6 @@ def _interval_layout(header: list[str]) -> _Layout:
     hi_idx = [slots[base]["hi"] for base in bases]
     return _Layout(
         tuple(bases),
-        len(names),
         False,
         partial(_interval_rows, lo_idx=lo_idx, hi_idx=hi_idx),
         lambda record: (
@@ -405,7 +402,7 @@ class ClassicTable:
             raise DataError(
                 f"value grid shape {values.shape} does not match labels {expected}"
             )
-        if values.size and not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(values)):
             raise DataError("classic table contains non-finite cells")
         if self.concept is not None and len(self.concept_labels) != len(self.rows):
             raise DataError("concept labels must cover every row")
@@ -451,7 +448,6 @@ def _classic_layout(header: list[str], concept: str | None, exclude: set[str]) -
         raise DataError("no data column left: every column is the concept or excluded")
     return _Layout(
         tuple(names[j] for j in data_idx),
-        len(names),
         False,
         partial(
             _classic_rows,

@@ -203,6 +203,7 @@ class TestPlotCommands:
     @pytest.mark.parametrize("axes,message", [
         ("0,1", "component indices are 1-based and positive"),
         ("2,2", "axis_x and axis_y must differ"),
+        ("1,x", "axes must be integers"),
     ])
     def test_invalid_axes_are_1(self, axes, message, oils_csv, tmp_path, capsys):
         out = tmp_path / "plot.svg"
@@ -226,6 +227,15 @@ class TestBenchCommand:
         assert main(["bench", *argv]) == 1
         assert capsys.readouterr().err == (
             "error: need m >= 2, n >= 1, trials >= 1\n"
+        )
+
+    def test_gram_limit_is_2(self, capsys):
+        # The table is 12000x2; the zzt route refuses before forming Z·Zt.
+        assert main(["bench", "--m", "12000", "--n", "2", "--trials", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the zzt route would form a 12000x12000 Gram matrix of "
+            "1,152,000,000 bytes, over the limit of 1,073,741,824 bytes; the ztz "
+            "route's 2x2 one is smaller\n"
         )
 
 

@@ -37,6 +37,13 @@ class TestInterval:
             vertex_extremes(np.array([0.0]), np.array([bad]), [1.0])
 
 
+class TestBoundsPair:
+    def test_one_dimensional_bounds_rejected(self):
+        with pytest.raises(DataError) as info:
+            BoundsPair([0.0], [1.0])
+        assert str(info.value) == "low must be a 2-D array, got shape (1,)"
+
+
 class TestIntervalMatrix:
     def test_shape_and_cells(self):
         t = IntervalMatrix(("a", "b"), ("x",), [[0.0], [1.0]], [[0.5], [2.0]])
@@ -76,8 +83,6 @@ class TestIntervalMatrix:
         hi = np.array([[1.0, 1.0]])
         with pytest.raises(DataError, match="interval grid contains non-finite entries"):
             IntervalMatrix._derived(("a",), ("x", "y"), lo, hi)
-        with pytest.raises(DataError, match="low contains non-finite entries"):
-            BoundsPair._derived(lo, hi)
 
     def test_equality(self):
         args = (("a",), ("x",), [[0.0]], [[1.0]])
@@ -200,6 +205,16 @@ class TestIntervalProject:
         bounds = _random_bounds(np.random.default_rng(0), 3, 4)
         with pytest.raises(DataError, match="non-conformable"):
             interval_project(bounds, np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("weights, message", [
+        ([1.0], "weights must be 2-D, got shape (1,)"),
+        ([[1.0], [np.nan]], "weights contain non-finite entries"),
+    ])
+    def test_bad_weights_rejected(self, weights, message):
+        bounds = _random_bounds(np.random.default_rng(0), 3, 2)
+        with pytest.raises(DataError) as info:
+            interval_project(bounds, weights)
+        assert str(info.value) == message
 
     def test_labels(self):
         bounds = _random_bounds(np.random.default_rng(0), 2, 2)

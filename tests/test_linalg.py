@@ -86,6 +86,11 @@ class TestEigenSym:
         with pytest.raises(DataError, match="square"):
             eigen_sym(np.zeros((2, 3)))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(DataError) as info:
+            eigen_sym(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        assert str(info.value) == "matrix contains non-finite entries"
+
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 7), (7, 2), (30, 12), (65, 65), (500, 40)])
 def test_gram_products_are_exactly_symmetric(shape):

@@ -226,6 +226,12 @@ class TestPcaStructure:
         full = pca_ztz(oils)
         assert np.allclose(res.scores.lo, full.scores.lo[:, :2])
 
+    def test_zero_columns_rejected(self):
+        table = IntervalMatrix(("a", "b"), (), np.zeros((2, 0)), np.zeros((2, 0)))
+        with pytest.raises(DataError) as info:
+            pca_auto(table)
+        assert str(info.value) == "data has no positive-variance directions"
+
     @pytest.mark.parametrize("bad_q", [0, -1, 5])
     def test_q_out_of_range(self, oils, bad_q):
         with pytest.raises(DataError, match="out of range"):

@@ -43,6 +43,18 @@ class TestPlotSpec:
         with pytest.raises(DataError, match="1-based"):
             PlotSpec(axis_x=0, axis_y=1)
 
+    @pytest.mark.parametrize("axis_x", [1.5, "1"])
+    def test_non_integer_axis_rejected(self, axis_x):
+        with pytest.raises(DataError) as info:
+            PlotSpec(axis_x, 2)
+        assert str(info.value) == (
+            f"component indices must be integers, got ({axis_x!r}, 2)"
+        )
+
+    def test_numpy_integer_axes_accepted(self, oils):
+        spec = PlotSpec(np.int64(1), np.int64(2))
+        assert render_plane(oils, spec) == render_plane(oils, PlotSpec())
+
 
 class TestRenderCircle:
     def _table(self, lo, hi, rows=None):

@@ -180,6 +180,18 @@ class TestParseClassicCsv:
             parse_classic_csv(",a\nr,1\n", concept="state")
 
 
+class TestClassicTable:
+    @pytest.mark.parametrize("values, concept, message", [
+        ([[1.0, 2.0]], None, "value grid shape (1, 2) does not match labels (1, 1)"),
+        ([[np.inf]], None, "classic table contains non-finite cells"),
+        ([[1.0]], "s", "concept labels must cover every row"),
+    ])
+    def test_direct_construction_checked(self, values, concept, message):
+        with pytest.raises(DataError) as info:
+            ClassicTable(("r",), ("x",), values, concept=concept)
+        assert str(info.value) == message
+
+
 def _aggregate_by_loop(table):
     """Reference: one fancy-indexed block per group, in first-appearance order."""
     members: dict[str, list[int]] = {}
