@@ -7,7 +7,7 @@ and project interval bounds to obtain interval scores for the objects and
 interval correlations for the variables (the symbolic correlation circle).
 """
 
-from .bench import BenchReport, benchmark_paths, random_interval_table
+from .bench import benchmark_paths
 from .datasets import load_oils_table
 from .errors import DataError, NumericError
 from .intervals import (
@@ -40,7 +40,6 @@ from .tableio import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchReport",
     "BoundsPair",
     "ClassicTable",
     "DataError",
@@ -62,7 +61,6 @@ __all__ = [
     "pca_auto",
     "pca_ztz",
     "pca_zzt",
-    "random_interval_table",
     "render_circle",
     "render_plane",
     "result_to_json",

@@ -79,8 +79,19 @@ def _column_names(text: str) -> list[str]:
     return [name.strip() for name in text.split(",") if name.strip()]
 
 
+# newline="" on both sides: the parser sees the file's exact text (a CR in a
+# quoted label survives), and every output is written with LF.
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8", newline="") as f:
+        return f.read()
+
+
+def _write(path: Path | str, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8", newline="")
+
+
 def _run_pca(args: argparse.Namespace) -> PcaResult:
-    table = parse_interval_csv(Path(args.input).read_text(encoding="utf-8"))
+    table = parse_interval_csv(_read(args.input))
     if args.exclude_cols:
         table = table.without_columns(args.exclude_cols)
     # Looked up per call, so the route functions can be patched in tests.
@@ -89,29 +100,21 @@ def _run_pca(args: argparse.Namespace) -> PcaResult:
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> None:
-    table = parse_classic_csv(
-        Path(args.input).read_text(encoding="utf-8"), concept=args.by,
-        exclude=args.exclude_cols,
-    )
-    result = aggregate_classic(table, args.by)
-    Path(args.output).write_text(write_interval_csv(result), encoding="utf-8")
+    table = parse_classic_csv(_read(args.input), concept=args.by, exclude=args.exclude_cols)
+    _write(args.output, write_interval_csv(aggregate_classic(table, args.by)))
 
 
 def _cmd_pca(args: argparse.Namespace) -> None:
     result = _run_pca(args)
     out = Path(args.output)
-    out.write_text(result_to_json(result, clamp=args.clamp) + "\n", encoding="utf-8")
+    _write(out, result_to_json(result, clamp=args.clamp) + "\n")
     base = out.with_suffix("") if out.suffix else out
     correlations = (
         clamp_correlations(result.correlations) if args.clamp
         else result.correlations
     )
-    base.with_name(base.name + ".scores.csv").write_text(
-        write_interval_csv(result.scores), encoding="utf-8"
-    )
-    base.with_name(base.name + ".correlations.csv").write_text(
-        write_interval_csv(correlations), encoding="utf-8"
-    )
+    _write(base.with_name(base.name + ".scores.csv"), write_interval_csv(result.scores))
+    _write(base.with_name(base.name + ".correlations.csv"), write_interval_csv(correlations))
 
 
 def _cmd_plot(args: argparse.Namespace) -> None:
@@ -120,7 +123,7 @@ def _cmd_plot(args: argparse.Namespace) -> None:
         svg = render_circle(clamp_correlations(result.correlations), args.axes)
     else:
         svg = render_plane(result.scores, args.axes)
-    Path(args.output).write_text(svg, encoding="utf-8")
+    _write(args.output, svg)
 
 
 def _cmd_bench(args: argparse.Namespace) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from .intervals import IntervalMatrix
 from .tableio import parse_interval_csv
@@ -14,5 +14,6 @@ def load_oils_table() -> IntervalMatrix:
     """The classic oils-and-fats benchmark: 8 classes of oil described by
     four interval variables (specific gravity GRA, freezing point FRE,
     iodine value IOD, saponification SAP)."""
-    text = resources.files("sympca").joinpath("data/oils.csv").read_text("utf-8")
-    return parse_interval_csv(text)
+    path = os.path.join(os.path.dirname(__file__), "data", "oils.csv")
+    with open(path, encoding="utf-8", newline="") as f:
+        return parse_interval_csv(f.read())

@@ -354,8 +354,8 @@ def _matrix_payload(rows, cols, values: np.ndarray) -> dict:
 
 
 def result_to_json(result: PcaResult, clamp: bool = True) -> str:
-    """The result as JSON text indented by two spaces; correlations are
-    clamped unless ``clamp=False``."""
+    """The result as one line of JSON text, with ``json.dumps``'s default
+    separators; correlations are clamped unless ``clamp=False``."""
     correlations = (
         clamp_correlations(result.correlations) if clamp else result.correlations
     )
@@ -371,4 +371,4 @@ def result_to_json(result: PcaResult, clamp: bool = True) -> str:
             result.correlations.rows, result.correlations.cols,
             result.center_correlations,
         ),
-    }, indent=2)
+    })

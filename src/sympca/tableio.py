@@ -170,15 +170,25 @@ def _fast_table(
 ) -> tuple[_Layout, list[tuple]] | None:
     """Tokenise and convert the body row block by row block with
     ``str.split``; None as soon as the text needs ``csv.reader``: it holds
-    a carriage return or a NUL, a quote outside the header and canonical
-    bracket cells, or a line longer than the field size limit (the reader
-    raises on a longer field), or the layout rejects its header or a block.
+    a NUL, a CR that does not end a line, a quote outside the header and
+    canonical bracket cells, or a line longer than the field size limit (the
+    reader raises on a longer field), or the layout rejects its header or a
+    block.
+
+    CRLF line ends are read as LF, and so is a quoted CRLF. In the body
+    only a bracket bound can hold one, and ``float()`` strips it there; a
+    header name holding LF sends the text to the reader.
     """
-    if "\r" in text or "\x00" in text:
+    if "\x00" in text:
         return None
+    crlf = "\r" in text
+    if crlf:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
     try:
         header, start = _header(text)
-        if header is None:
+        if header is None or crlf and any("\n" in name for name in header):
             return None
         layout = layout_of(header)
     except (csv.Error, DataError):

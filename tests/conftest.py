@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sympca import IntervalMatrix, load_oils_table, random_interval_table
+from sympca import IntervalMatrix, load_oils_table
+from sympca.bench import random_interval_table
 
 CORPUS_SEED = 20250810
 CORPUS_SIZE = 200

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import sympca
 import sympca.cli  # noqa: F401  (perfbench runs sympca.cli.main)
+from sympca.bench import BenchReport
 
 PUBLIC = [
-    "BenchReport",
     "BoundsPair",
     "ClassicTable",
     "DataError",
@@ -40,7 +40,6 @@ PUBLIC = [
     "pca_auto",
     "pca_ztz",
     "pca_zzt",
-    "random_interval_table",
     "render_circle",
     "render_plane",
     "result_to_json",
@@ -105,11 +104,28 @@ def test_import_loads_no_network_stack_or_statistics(module):
     assert proc.stdout == "[]\n"
 
 
+def test_import_loads_no_resource_reader_or_pathlib():
+    # Under -S no .pth file runs, so whatever loads these is sympca's own
+    # import; numpy's site directory is appended by hand.
+    site_dir = os.path.dirname(os.path.dirname(np.__file__))
+    bad = ("importlib.resources", "pathlib")
+    script = (
+        f"import sys; sys.path.append({site_dir!r}); import sympca; "
+        f"print(sorted(m for m in sys.modules for bad in {bad!r} "
+        "if m == bad or m.startswith(bad + '.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=9),
        st.lists(st.floats(0.0, 10.0), min_size=1, max_size=9))
 def test_bench_medians_match_statistics(zzt, ztz):
-    report = sympca.BenchReport(m=2, n=1, trials=1, times_zzt=tuple(zzt),
-                                times_ztz=tuple(ztz), auto_method="ztz")
+    report = BenchReport(m=2, n=1, trials=1, times_zzt=tuple(zzt),
+                         times_ztz=tuple(ztz), auto_method="ztz")
     assert type(report.median_zzt) is float and type(report.median_ztz) is float
     assert report.median_zzt == statistics.median(zzt)
     assert report.median_ztz == statistics.median(ztz)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -71,6 +72,16 @@ class TestAggregate:
         assert main(argv + ["--exclude-cols", "fold,nosuch"]) == 2
         assert capsys.readouterr().err == "error: no column named 'nosuch'\n"
 
+    def test_crlf_input_matches_lf(self, tmp_path):
+        outputs = []
+        for name, text in (("lf", CLASSIC), ("crlf", CLASSIC.replace("\n", "\r\n"))):
+            src = tmp_path / f"{name}.csv"
+            src.write_bytes(text.encode())
+            out = tmp_path / f"{name}.out.csv"
+            assert main(["aggregate", "--input", str(src), "--output", str(out), "--by", "state"]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] and b"\r" not in outputs[0]
+
     @pytest.mark.parametrize("name", ["nosuch", "state"])
     def test_exclude_unknown_or_concept_column_is_2(self, name, tmp_path, capsys):
         # The --by column is not a data column of the aggregated table, so
@@ -117,6 +128,31 @@ class TestPcaCommand:
             (tmp_path / "result.correlations.csv").read_text(encoding="utf-8")
         )
         assert corr.lo.min() >= -1.0 and corr.hi.max() <= 1.0
+
+    def test_json_is_one_line(self, oils_csv, tmp_path):
+        # json.dumps's default separators, on one line ending in LF.
+        out = tmp_path / "result.json"
+        assert main(["pca", "--input", str(oils_csv), "--output", str(out)]) == 0
+        data = out.read_bytes()
+        text = data.decode("utf-8")
+        assert text == json.dumps(json.loads(text)) + "\n"
+        assert text.startswith('{"method_used": "ztz", "eigenvalues": [2.9840440378303663, ')
+        assert hashlib.sha256(data).hexdigest() == (
+            "19feaa1613f0b20c4b86d4925bc59d95bbaba02750f6018a178efacee0ea6712"
+        )
+
+    def test_carriage_return_in_label_survives(self, tmp_path):
+        # The parser sees the file's exact text: no newline translation.
+        text = ',a,b\n"r\r1","[1,2]","[0,1]"\ns,"[2,4]","[1,3]"\nt,"[0,1]","[5,6]"\n'
+        src = tmp_path / "cr.csv"
+        src.write_bytes(text.encode())
+        out = tmp_path / "cr.json"
+        assert main(["pca", "--input", str(src), "--output", str(out)]) == 0
+        rows = parse_interval_csv(text).rows
+        assert rows == ("r\r1", "s", "t")
+        assert json.loads(out.read_text(encoding="utf-8"))["scores"]["rows"] == list(rows)
+        scores = (tmp_path / "cr.scores.csv").read_bytes().decode("utf-8")
+        assert parse_interval_csv(scores).rows == rows
 
     def test_methods_match(self, oils_csv, tmp_path):
         outputs = {}

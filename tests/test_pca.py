@@ -30,11 +30,11 @@ from sympca import (
     pca_auto,
     pca_ztz,
     pca_zzt,
-    random_interval_table,
     result_to_json,
     standardize,
     vertex_extremes,
 )
+from sympca.bench import random_interval_table
 
 
 def _degenerate(table: IntervalMatrix) -> IntervalMatrix:

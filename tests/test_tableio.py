@@ -666,6 +666,8 @@ class TestClassicTokeniserProperty:
     @example(",a\nr,1\rs,2\n")
     @example(",a\nr\r,1\n")
     @example(",a\nr\x00,1\n")
+    @example(',"a\r\nb",c\r\nr,1,2\r\n')  # read as LF, the header name would change
+    @example(",a\r\nr,1\rs,2\r\n")  # a bare CR among CRLF line ends
     def test_matches_csv_reader(self, text):
         _check_classic(text)
 
@@ -853,6 +855,8 @@ class TestBracketTokeniserProperty:
     @example(',"a,b"\nr,"[1,2]"\n')  # a quoted header, canonical cells
     @example(",a.lo,a.hi\nr,1,2\ns,-0.0,0\n")
     @example(",a.hi,a.lo\nr,2,1\n")
+    @example(',"a\r\nb"\r\nr,"[1,2]"\r\n')  # read as LF, the header name would change
+    @example(',a\r\nr,"[1,2]\r\n"\r\n')  # a quoted CRLF in a bracket cell
     def test_matches_csv_reader(self, text):
         _check_interval(text)
 
@@ -950,6 +954,22 @@ class TestRowBlocks:
         assert t.cols == ("a", "b")
         assert t.concept_labels == tuple(f"S{i % 3}" for i in range(40))
         assert t.values.tolist() == [[i, -i] for i in range(40)]
+
+    @pytest.mark.parametrize("block", [1 << 20, 4])
+    def test_crlf_read_in_row_blocks(self, block, monkeypatch):
+        # CRLF line ends are read as LF, in row blocks, not by csv.reader.
+        bracket = ",a,b\n" + "".join(f'r{i},"[{i},{i + 1}]","[-{i},0]"\n' for i in range(40))
+        classic = ",state,a\n" + "".join(f"r{i},S{i % 3},{i}\n" for i in range(40))
+        lf_bracket = parse_interval_csv(bracket)
+        lf_classic = parse_classic_csv(classic, concept="state")
+        monkeypatch.setattr(tableio, "_BLOCK", block)
+        monkeypatch.setattr(tableio, "_read_records", mock.Mock(side_effect=AssertionError))
+        assert parse_interval_csv(bracket.replace("\n", "\r\n")) == lf_bracket
+        t = parse_classic_csv(classic.replace("\n", "\r\n"), concept="state")
+        assert (t.rows, t.cols, t.concept_labels) == (
+            lf_classic.rows, lf_classic.cols, lf_classic.concept_labels
+        )
+        assert t.values.tobytes() == lf_classic.values.tobytes()
 
     def test_late_fallbacks_match_one_block(self, monkeypatch):
         bracket = [f'r{i},"[{i},{i + 1}]"' for i in range(40)]
