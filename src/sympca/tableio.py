@@ -6,13 +6,18 @@ scientific notation accepted). A second read-only layout with paired columns
 Files are UTF-8; LF and CRLF inputs are both accepted, output uses LF.
 Both CSV forms are read by one ``str.split`` tokeniser in row blocks, as
 long as it reads them as ``csv.reader`` would; other text goes to the reader.
+A job of two or more row blocks, read or written, is shared with one forked
+helper process where that is safe (see ``_in_two``).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import pickle
 import re
+import threading
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
@@ -40,6 +45,69 @@ _PAIR_RE = re.compile(r"^(.+)\.(lo|hi)$")
 # Characters of body text per row block. A block ends at the first line end
 # after this many characters, so its lines are whole records.
 _BLOCK = 1 << 20
+
+_fork = getattr(os, "fork", None)  # None on Windows
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _send(fd: int, result: object) -> None:
+    with open(fd, "wb") as pipe:
+        pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+
+
+def _in_two(work: Callable[[int, int], list | None], count: int) -> list | None:
+    """``work(0, count)`` for a job of ``count`` row blocks, done as
+    ``work(0, half) + work(half, count)``; None when either half is None.
+
+    With two or more blocks, ``os.fork``, two usable CPUs and no other
+    thread (a forked child could block on a lock another thread held), a
+    forked helper does the second half while this process does the first,
+    sends its result through a pipe and leaves by ``os._exit``. A helper
+    that fails, or dies, before its whole result is sent (a short pickle
+    does not load) leaves its half to be done here, so the outcome, values
+    and first error alike, is that of one process. No helper outlives the
+    call.
+    """
+    half = count // 2
+    if count < 2 or _fork is None or _usable_cpus() < 2 or threading.active_count() > 1:
+        return work(0, count)
+    read, write = os.pipe()
+    pid = _fork()
+    if pid == 0:  # the helper
+        code = 1
+        try:
+            os.close(read)
+            _send(write, work(half, count))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    data = None
+    try:
+        with open(read, "rb") as pipe:
+            first = work(0, half)
+            if first is not None:
+                data = pipe.read()
+    finally:
+        try:
+            if data is None:  # the helper's half is not needed, or this process failed
+                from signal import SIGKILL  # here: `import sympca` does not load signal
+
+                os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # SIGCHLD ignored: the kernel reaps
+            pass
+    if first is None:
+        return None
+    try:
+        second = pickle.loads(data)
+    except (pickle.UnpicklingError, EOFError):
+        second = work(half, count)
+    return None if second is None else first + second
 
 
 def _parse_number(text: str, where: str) -> float:
@@ -105,19 +173,16 @@ def _header(text: str) -> tuple[list[str] | None, int]:
     return next(filter(None, csv.reader(lines())), None), end
 
 
-def _row_blocks(text: str, start: int) -> Iterator[list[str]]:
-    """The non-empty lines of ``text[start:]`` (the reader drops empty
-    records), in blocks of about ``_BLOCK`` characters; at least one block,
-    empty when the text ends at ``start``.
-
-    Only "\\n" ends a line: ``str.splitlines()`` would also break at
-    characters the reader keeps in a field ("\\x1c", "\\x85", "\\u2028").
-    """
+def _row_blocks(text: str, start: int) -> list[tuple[int, int]]:
+    """The spans of ``text[start:]`` in blocks of about ``_BLOCK``
+    characters, each ending after a line end or at the end of the text; at
+    least one block, empty when the text ends at ``start``."""
+    spans = []
     while True:
         end = text.find("\n", start + _BLOCK) + 1 or len(text)
-        yield list(filter(None, text[start:end].split("\n")))
+        spans.append((start, end))
         if end == len(text):
-            return
+            return spans
         start = end
 
 
@@ -196,14 +261,24 @@ def _fast_table(
     split = _bracket_fields if layout.bracketed else _plain_fields
     width = len(header) - 1
     limit = csv.field_size_limit()
-    parts = []
-    for lines in _row_blocks(text, start):
-        tokens = max(map(len, lines), default=0) <= limit and split(lines, width)
-        part = tokens and layout.convert(*tokens)
-        if not part:
-            return None
-        parts.append(part)
-    return layout, parts
+    spans = _row_blocks(text, start)
+
+    def convert(first: int, last: int) -> list[tuple] | None:
+        parts = []
+        for begin, end in spans[first:last]:
+            # The non-empty lines (the reader drops empty records). Only
+            # "\n" ends a line: str.splitlines() would also break at
+            # characters the reader keeps in a field ("\x1c", "\x85", "\u2028").
+            lines = list(filter(None, text[begin:end].split("\n")))
+            tokens = max(map(len, lines), default=0) <= limit and split(lines, width)
+            part = tokens and layout.convert(*tokens)
+            if not part:
+                return None
+            parts.append(part)
+        return parts
+
+    parts = _in_two(convert, len(spans))
+    return None if parts is None else (layout, parts)
 
 
 def _read_table(
@@ -381,13 +456,25 @@ def write_interval_csv(table: IntervalMatrix) -> str:
     # the bytes of a fully quoted record. A bracket cell always holds a comma,
     # so csv would quote it as is: the cells skip csv and are formatted row
     # by row, repr being the shortest float text that parses back exactly.
-    label = csv.writer(sink, lineterminator="\r\n")
     pad = ("",) if table.cols else ()
     cell = '"[{!r},{!r}]"'.format
-    for name, lows, highs in zip(table.rows, table.lo.tolist(), table.hi.tolist()):
-        label.writerow((name, *pad))
-        lines[-1] = lines[-1][:-2] + ",".join(map(cell, lows, highs)) + "\n"
-    return "".join(lines)
+    # Equal row blocks of _BLOCK to 2 * _BLOCK characters, taking a cell for 48.
+    m = len(table.rows)
+    blocks = max(1, min(m, m * (48 * len(table.cols) + 16) // _BLOCK))
+    step = -(-m // blocks)
+
+    def records(first: int, last: int) -> list[str]:
+        out: list[str] = []
+        label = csv.writer(SimpleNamespace(write=out.append), lineterminator="\r\n")
+        rows = slice(first * step, last * step)
+        for name, lows, highs in zip(
+            table.rows[rows], table.lo[rows].tolist(), table.hi[rows].tolist()
+        ):
+            label.writerow((name, *pad))
+            out[-1] = out[-1][:-2] + ",".join(map(cell, lows, highs)) + "\n"
+        return ["".join(out)]
+
+    return "".join(lines + _in_two(records, blocks))
 
 
 @dataclass(frozen=True, eq=False)

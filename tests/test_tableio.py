@@ -4,8 +4,14 @@ import csv
 import io
 import itertools
 import math
+import os
+import pickle
 import re
+import signal
+import threading
+import time
 import tracemalloc
+from typing import Iterator
 from unittest import mock
 
 import numpy as np
@@ -882,6 +888,16 @@ def _classic_text(m: int, n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _interval_text(m: int, n: int, seed: int = 12) -> str:
+    rng = np.random.default_rng(seed)
+    lo = rng.normal(0.0, 100.0, (m, n))
+    table = IntervalMatrix(
+        tuple(f"r{i}" for i in range(m)), tuple(f"v{j}" for j in range(n)),
+        lo, lo + rng.uniform(0.0, 10.0, lo.shape),
+    )
+    return write_interval_csv(table)
+
+
 def _traced_peak(parse) -> int:
     tracemalloc.start()
     try:
@@ -891,31 +907,62 @@ def _traced_peak(parse) -> int:
         tracemalloc.stop()
 
 
+@pytest.fixture
+def forks(monkeypatch) -> Iterator[list[int]]:
+    """The pids of the helpers that ``tableio`` forks during a test, on two
+    usable CPUs; afterwards no child of this process is left."""
+    pids: list[int] = []
+
+    def fork() -> int:
+        pid = os.fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(tableio, "_fork", fork)
+    monkeypatch.setattr(tableio, "_usable_cpus", lambda: 2)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _one_process(monkeypatch, call):
+    with monkeypatch.context() as patch:
+        patch.setattr(tableio, "_usable_cpus", lambda: 1)
+        return call()
+
+
 class TestParseMemory:
     # Row blocks bound what a parse holds besides its result: the tokens of
-    # one block, not a string per field of the whole text.
-    def test_classic_peak(self):
+    # one block, not a string per field of the whole text. On one CPU the
+    # whole parse is traced; on two, a helper process parses half the blocks
+    # out of tracemalloc's sight, and this process holds what it sends.
+    def test_classic_peak(self, monkeypatch):
+        monkeypatch.setattr(tableio, "_usable_cpus", lambda: 1)
         text = _classic_text(20000, 20)
         peak = _traced_peak(lambda: parse_classic_csv(text, concept="state", exclude=["note"]))
         assert peak <= 2.5 * len(text)
 
-    def test_bracket_peak(self):
-        rng = np.random.default_rng(12)
-        lo = rng.normal(0.0, 100.0, (20000, 20))
-        table = IntervalMatrix(
-            tuple(f"r{i}" for i in range(20000)), tuple(f"v{j}" for j in range(20)),
-            lo, lo + rng.uniform(0.0, 10.0, lo.shape),
-        )
-        text = write_interval_csv(table)
+    def test_classic_peak_two_cores(self, forks):
+        text = _classic_text(20000, 20)
+        peak = _traced_peak(lambda: parse_classic_csv(text, concept="state", exclude=["note"]))
+        assert len(forks) == 1
+        assert peak <= 2.5 * len(text)
+
+    def test_bracket_peak(self, monkeypatch):
+        monkeypatch.setattr(tableio, "_usable_cpus", lambda: 1)
+        text = _interval_text(20000, 20)
         peak = _traced_peak(lambda: parse_interval_csv(text))
         assert peak <= 2.5 * len(text)
 
 
 class TestRowBlocks:
     # A block of 16 characters holds one record: every error and fallback
-    # below lies in a late block.
+    # below lies in a late block. On two CPUs a forked helper converts the
+    # second half of the blocks, so the errors at rows 30 and 35 of 40 lie
+    # in the helper's half; the messages are those of one process.
     @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
+    def small_blocks(self, monkeypatch, forks):
         monkeypatch.setattr(tableio, "_BLOCK", 16)
 
     def _rows(self, m: int) -> list[str]:
@@ -1004,3 +1051,155 @@ class TestRowBlocks:
         text = "," + ",".join(f"c{j}" for j in range(n)) + "\n" + "\n".join(rows) + "\n"
         t = parse_classic_csv(text)
         assert t.shape == (4, n) and t.values[3].min() == 2.0
+
+
+def _classic_fields(t: ClassicTable) -> tuple:
+    return t.rows, t.cols, t.concept, t.concept_labels, t.values.tobytes()
+
+
+def _interval_fields(t: IntervalMatrix) -> tuple:
+    return t.rows, t.cols, t.lo.tobytes(), t.hi.tobytes()
+
+
+def _message(call) -> str:
+    with pytest.raises(DataError) as info:
+        call()
+    return str(info.value)
+
+
+# Texts of 300 records, each spanning many blocks of 64 characters.
+_CLASSIC = _classic_text(300, 4)
+_BRACKET = _interval_text(300, 3)
+_TABLE = parse_interval_csv(_BRACKET)
+_PAIRED = "," + ",".join(f"{c}.lo,{c}.hi" for c in _TABLE.cols) + "\n" + "".join(
+    f"{name}," + ",".join(f"{a!r},{b!r}" for a, b in zip(lows, highs)) + "\n"
+    for name, lows, highs in zip(_TABLE.rows, _TABLE.lo.tolist(), _TABLE.hi.tolist())
+)
+
+_CALLS = {
+    "classic": lambda: _classic_fields(
+        parse_classic_csv(_CLASSIC, concept="state", exclude=["note"])
+    ),
+    "classic-crlf": lambda: _classic_fields(
+        parse_classic_csv(_CLASSIC.replace("\n", "\r\n"), concept="state", exclude=["note"])
+    ),
+    "bracket": lambda: _interval_fields(parse_interval_csv(_BRACKET)),
+    "bracket-crlf": lambda: _interval_fields(parse_interval_csv(_BRACKET.replace("\n", "\r\n"))),
+    "paired": lambda: _interval_fields(parse_interval_csv(_PAIRED)),
+    "write": lambda: write_interval_csv(_TABLE),
+    # a bad number in record 250 of 300, in the helper's half of the blocks
+    "classic-error": lambda: _message(lambda: parse_classic_csv(
+        _CLASSIC.replace("rec250,S250,n250,", "rec250,S250,n250,x"),
+        concept="state", exclude=["note"],
+    )),
+    "bracket-error": lambda: _message(
+        lambda: parse_interval_csv(_BRACKET.replace('r250,"[', 'r250,"[x'))
+    ),
+}
+
+
+def _exit_non_zero(fd: int, result: object) -> None:
+    raise RuntimeError("the helper fails")
+
+
+def _killed(fd: int, result: object) -> None:
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _short(fd: int, result: object) -> None:
+    with open(fd, "wb") as pipe:
+        pipe.write(pickle.dumps(result)[:-1])
+
+
+def _nothing(fd: int, result: object) -> None:
+    os.close(fd)
+
+
+def _unreadable(fd: int, result: object) -> None:
+    with open(fd, "wb") as pipe:
+        pipe.write(b"not a pickle")
+
+
+class TestTwoCores:
+    # A forked helper converts the second half of the row blocks; the
+    # result is that of one process, to the byte, also when the helper
+    # fails and its half is done again here.
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(tableio, "_BLOCK", 64)
+
+    @pytest.mark.parametrize("call", _CALLS.values(), ids=_CALLS)
+    def test_same_as_one_process(self, call, forks, monkeypatch):
+        one = _one_process(monkeypatch, call)
+        assert forks == []
+        assert call() == one
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize(
+        "send", [_exit_non_zero, _killed, _short, _nothing, _unreadable],
+        ids=["exits-non-zero", "killed", "short", "empty", "unreadable"],
+    )
+    def test_failed_helper_half_done_here(self, send, forks, monkeypatch):
+        expected = {name: _one_process(monkeypatch, call) for name, call in _CALLS.items()}
+        monkeypatch.setattr(tableio, "_send", send)
+        assert {name: call() for name, call in _CALLS.items()} == expected
+        assert len(forks) == len(_CALLS)
+
+    def test_early_error_stops_helper(self, forks, monkeypatch):
+        # The first half is rejected: the helper is killed, not waited for.
+        monkeypatch.setattr(tableio, "_send", lambda fd, result: time.sleep(60))
+        t0 = time.perf_counter()
+        with pytest.raises(DataError, match="'r3'"):
+            parse_interval_csv(_BRACKET.replace('r3,"[', 'r3,"[x'))
+        assert time.perf_counter() - t0 < 30
+        assert len(forks) == 1
+
+    def test_error_in_this_process_reaps_helper(self, forks):
+        parent = os.getpid()
+
+        def work(first: int, last: int) -> list[int]:
+            if os.getpid() == parent:
+                raise ZeroDivisionError
+            return list(range(first, last))
+
+        with pytest.raises(ZeroDivisionError):
+            tableio._in_two(work, 4)
+        assert len(forks) == 1
+
+    def test_child_signal_ignored(self, forks):
+        # The kernel reaps the helpers of a process that ignores SIGCHLD.
+        parent = os.getpid()
+
+        def work(first: int, last: int) -> list[int] | None:
+            if os.getpid() == parent:
+                time.sleep(0.5)  # the helper has exited, and is reaped, by now
+                return None
+            return []
+
+        expected = _CALLS["bracket"]()
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert _CALLS["bracket"]() == expected
+            assert tableio._in_two(work, 2) is None
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 3
+
+    def test_no_fork(self, forks, monkeypatch):
+        expected = _CALLS["classic"]()
+        monkeypatch.setattr(tableio, "_fork", None)
+        assert _CALLS["classic"]() == expected
+
+    def test_other_thread(self, forks):
+        expected = _CALLS["write"]()
+        forks.clear()
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            assert _CALLS["write"]() == expected
+        finally:
+            release.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert forks == []
