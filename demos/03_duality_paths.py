@@ -6,13 +6,15 @@ With m objects and n variables, the analysis can eigendecompose either the
 m x m product Z Zt or the n x n product Zt Z. Both share the same positive
 eigenvalues, and each eigenvector family maps to the other via
 u = Zt v / sqrt(lam) and v = Z u / sqrt(lam). This demo runs both routes and
-shows they agree, then checks one projection against brute-force vertex
-enumeration.
+shows they agree, checks the duality relation between the variables'
+coordinates and the objects' scores, then checks one projection against
+brute-force vertex enumeration.
 """
 
 import numpy as np
 
 from sympca import (
+    centers_matrix,
     load_oils_table,
     pca_ztz,
     pca_zzt,
@@ -36,6 +38,15 @@ score_diff = max(
 )
 print(f"\nmax loading difference between paths: {u_diff:.2e}")
 print(f"max interval-score difference:        {score_diff:.2e}")
+
+# The paper's duality relation: a variable's coordinate on a component is
+# the classical correlation of its midpoint column with the component's
+# midpoint scores.
+mids = centers_matrix(table)
+n = mids.shape[1]
+classical = np.corrcoef(mids, via_small.center_scores, rowvar=False)[:n, n:]
+corr_diff = np.abs(via_small.center_correlations - classical).max()
+print(f"max |centre correlation - corr(midpoints, centre scores)|: {corr_diff:.2e}")
 
 # The closed-form projection equals exhaustive vertex enumeration: take the
 # first object's standardized score bounds and try all 2^4 corners.

@@ -7,13 +7,18 @@ correlation matrix), and eigendecompose either Z·Zt (``pca_zzt``) or Zt·Z
 the eigenproblem of A·At with LAPACK, as ``eigen_sym`` does but without
 re-checking a product it formed itself, and recovers the other
 eigenvector family with ``dual_transport(A, ...)`` (U = Zt·V / sqrt(lam), or
-V = Z·U / sqrt(lam)), then spreads each classical (midpoint) value by the
-interval radii projected onto |eigenvectors|:
+V = Z·U / sqrt(lam)). Those two products, the Gram product and the
+transport, are the only ones formed with Z. The classical (midpoint) values
+follow from the eigenpairs by the same duality relations, Z·U = V·sqrt(lam)
+and Zt·V = U·sqrt(lam), elementwise; each is then spread by the interval
+radii projected onto |eigenvectors|:
 
-* interval scores of the objects: Z·U (in the unit-variance scale of the
-  data) ± the object rows' radii projected onto |U|,
-* interval correlations of the variables: Zt·V ± the variable columns'
-  radii projected onto |V|.
+* interval scores of the objects: sqrt(m)·V·sqrt(lam) = sqrt(m)·Z·U (in the
+  unit-variance scale of the data) ± the object rows' radii projected onto
+  |U|,
+* interval correlations of the variables: U·sqrt(lam) = Zt·V, the
+  correlations of the midpoint columns with the midpoint scores, ± the
+  variable columns' radii projected onto |V|.
 
 ``pca_auto`` picks whichever path has the smaller eigenproblem. The solver
 leaves LAPACK's signs; each component is oriented here, once, by the sign
@@ -87,7 +92,10 @@ class PcaResult:
     ``loadings_u`` (n x q) are eigenvectors of Zt·Z; ``axes_v`` (m x q) are
     eigenvectors of Z·Zt. ``scores`` and ``correlations`` are interval
     matrices; ``center_scores`` / ``center_correlations`` are their
-    classical midpoint counterparts and always lie inside them.
+    classical midpoint counterparts and always lie inside them. The centres
+    come from the duality relations: ``center_scores`` is
+    sqrt(m)·V·sqrt(lam) (= sqrt(m)·Z·U) and ``center_correlations`` is
+    U·sqrt(lam) (= Zt·V), so neither depends on how BLAS splits a product.
     """
 
     eigenvalues: np.ndarray
@@ -217,7 +225,8 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
 def _duality_pca(x: IntervalMatrix, q: int | None, route: str) -> PcaResult:
     """The one body behind both routes: solve the Gram product of
     A = Z (``"zzt"``) or A = Zt (``"ztz"``), carry the solved family across
-    with ``dual_transport(A, ...)``, orient by U, and spread the centres."""
+    with ``dual_transport(A, ...)``, orient by U, take the centres from the
+    duality relations, and spread them."""
     z, _, _, width = _standardize(x)
     a, other = (z, "ztz") if route == "zzt" else (z.T, "zzt")
     _check_gram_size(route, a.shape[0], other, a.shape[1])
@@ -235,11 +244,12 @@ def _duality_pca(x: IntervalMatrix, q: int | None, route: str) -> PcaResult:
     u *= signs
     v *= signs
     pcs = _default_labels("PC", q)
-    # Scores live in the unit-variance scale of the data: sqrt(m) times z's.
+    # Centres by the duality relations Zt·V = U·sqrt(lam) and Z·U = V·sqrt(lam);
+    # scores live in the unit-variance scale of the data, sqrt(m) times z's.
     root_m = math.sqrt(z.shape[0])
     radius = np.divide(width, 2.0, out=width)
-    center_scores = (root_m * z) @ u
-    center_correlations = z.T @ v
+    center_scores = v * (root_m * np.sqrt(lam))
+    center_correlations = u * np.sqrt(lam)
     # standardize bounds the widths, not sqrt(m) times the radii nor their
     # sums over a row, so the spreads can still overflow; _spread then finds
     # non-finite ends, and the column holding the largest radius is named.

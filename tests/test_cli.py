@@ -138,7 +138,7 @@ class TestPcaCommand:
         assert text == json.dumps(json.loads(text)) + "\n"
         assert text.startswith('{"method_used": "ztz", "eigenvalues": [2.9840440378303663, ')
         assert hashlib.sha256(data).hexdigest() == (
-            "19feaa1613f0b20c4b86d4925bc59d95bbaba02750f6018a178efacee0ea6712"
+            "fa893a6868054567840de1790b77da53f1d308f0329da233395aaf0f3215db61"
         )
 
     def test_carriage_return_in_label_survives(self, tmp_path):
