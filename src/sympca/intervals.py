@@ -180,9 +180,10 @@ def _spread(centre, radius, weights, rows, cols) -> IntervalMatrix:
     """Intervals ``centre ± radius @ |weights|`` around the projected box centres."""
     # radius >= 0 makes half >= 0, and then rounding keeps fl(c - half) <= c <=
     # fl(c + half): c lies inside exactly, and a zero radius gives c at both ends.
+    # The low ends are formed first, the high ends then in half's own buffer.
     # Only finiteness is left to check: the products can overflow.
     half = radius @ np.abs(weights)
-    return IntervalMatrix._derived(rows, cols, centre - half, centre + half)
+    return IntervalMatrix._derived(rows, cols, centre - half, np.add(half, centre, out=half))
 
 
 def interval_project(

@@ -111,4 +111,9 @@ def dual_transport(z: np.ndarray, vectors: np.ndarray, lam: np.ndarray) -> np.nd
             f"eigenvalue {float(lam.min())!r} is at or below tolerance "
             f"{_NULL_TOL!r}: rank-deficient direction"
         )
-    return z.T @ vectors / np.sqrt(lam)
+    return _transport(z, vectors, np.sqrt(lam))
+
+
+def _transport(z: np.ndarray, vectors: np.ndarray, root_lam: np.ndarray) -> np.ndarray:
+    """Zt·vectors / root_lam: the product of ``dual_transport``, unchecked."""
+    return z.T @ vectors / root_lam

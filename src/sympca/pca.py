@@ -4,14 +4,14 @@ The pipeline: take the midpoint of every interval cell, standardize the
 midpoint matrix to Z (zero-mean, unit-norm columns, so Zt·Z is the midpoint
 correlation matrix), and eigendecompose either Z·Zt (``pca_zzt``) or Zt·Z
 (``pca_ztz``). One body serves both routes: with A = Z or A = Zt it solves
-the eigenproblem of A·At with LAPACK, as ``eigen_sym`` does but without
-re-checking a product it formed itself, and recovers the other
-eigenvector family with ``dual_transport(A, ...)`` (U = Zt·V / sqrt(lam), or
-V = Z·U / sqrt(lam)). Those two products, the Gram product and the
-transport, are the only ones formed with Z. The classical (midpoint) values
-follow from the eigenpairs by the same duality relations, Z·U = V·sqrt(lam)
-and Zt·V = U·sqrt(lam), elementwise; each is then spread by the interval
-radii projected onto |eigenvectors|:
+the eigenproblem of A·At with LAPACK and recovers the other eigenvector family
+by the transport of ``dual_transport`` (U = Zt·V / sqrt(lam), or V = Z·U /
+sqrt(lam)), skipping the checks that ``eigen_sym`` and ``dual_transport`` make
+of their arguments, as it formed both itself. Those two products, the Gram
+product and the transport, are the only ones formed with Z. The classical
+(midpoint) values follow from the eigenpairs by the same duality relations,
+Z·U = V·sqrt(lam) and Zt·V = U·sqrt(lam), elementwise; each is then spread by
+the interval radii projected onto |eigenvectors|:
 
 * interval scores of the objects: sqrt(m)·V·sqrt(lam) = sqrt(m)·Z·U (in the
   unit-variance scale of the data) ± the object rows' radii projected onto
@@ -20,6 +20,12 @@ radii projected onto |eigenvectors|:
   correlations of the midpoint columns with the midpoint scores, ± the
   variable columns' radii projected onto |V|.
 
+A call keeps two m x n arrays, Z and the radii, each formed once: the
+midpoints are centred and scaled in place into Z, and the mapped upper bounds,
+less the mapped lower ones, are halved in place into the radii. The lower
+bounds go once the radii exist, and Z once the transport is formed; between
+the correlation and the score spreads the radii are scaled by sqrt(m) in place.
+
 ``pca_auto`` picks whichever path has the smaller eigenproblem. The solver
 leaves LAPACK's signs; each component is oriented here, once, by the sign
 rule on U (its entry of largest magnitude is made positive; entries within a
@@ -27,11 +33,9 @@ relative 1e-12 of it tie, and the lowest index wins) with V flipped
 alongside, so the routes agree on every output up to roundoff (for separated
 eigenvalues). Midpoint (classical) scores and correlations lie inside their
 interval counterparts exactly, and on degenerate input they equal both
-endpoints bit for bit.
-
-Interval correlations are stored raw. Hypercube vertices can leave the unit
-ball, so an endpoint can exceed 1 in magnitude; ``clamp_correlations``
-restricts them to [-1, 1] for reporting and plotting.
+endpoints bit for bit. Interval correlations are stored raw: hypercube
+vertices can leave the unit ball, so an endpoint can exceed 1 in magnitude;
+``clamp_correlations`` restricts them to [-1, 1] for reporting and plotting.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 
 from .errors import DataError
 from .intervals import BoundsPair, IntervalMatrix, _default_labels, _spread
-from .linalg import EigenDecomposition, _eigh_descending, dual_transport
+from .linalg import EigenDecomposition, _eigh_descending, _transport
 
 __all__ = [
     "StandardizedBundle",
@@ -69,6 +73,7 @@ GRAM_LIMIT_BYTES = 1 << 30
 _SIGN_TIE_RTOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +115,9 @@ class PcaResult:
 
 def centers_matrix(x: IntervalMatrix) -> np.ndarray:
     """Midpoint of every cell: (lo + hi) / 2."""
-    return (x.lo + x.hi) / 2.0
+    mids = x.lo + x.hi
+    mids *= 0.5  # the same bits as dividing by 2, and cheaper
+    return mids
 
 
 def _refuse_column(x: IntervalMatrix, bad: np.ndarray, reason: str) -> None:
@@ -119,38 +126,39 @@ def _refuse_column(x: IntervalMatrix, bad: np.ndarray, reason: str) -> None:
         raise DataError(f"column {x.cols[int(np.argmax(bad))]!r} {reason}")
 
 
-def _standardize(
-    x: IntervalMatrix,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The body of ``standardize``: z, the mapped lower and upper bounds,
-    and their widths, every one checked finite."""
+def _standardize(x: IntervalMatrix, bounds: bool = False) -> tuple[np.ndarray, ...]:
+    """The body of ``standardize``: z and, checked finite, the mapped lower and
+    upper bounds (``bounds=True``) or the radii, formed in the upper ones' buffer."""
     m = x.shape[0]
     if m < 2:
         raise DataError(f"need at least 2 rows to standardize, got {m}")
     with np.errstate(over="ignore", invalid="ignore"):
-        mids = centers_matrix(x)
-        means = mids.mean(axis=0)
-        # The deviations feed the std by np.std's own steps (same bits), then
-        # are scaled in place into z.
-        z = mids - means
-        stds = np.sqrt(np.add.reduce(z * z, axis=0) / m)
+        # z holds the midpoints, then (in place) the deviations that feed the
+        # std by np.mean's and np.std's own steps (same bits), then z itself.
+        z = centers_matrix(x)
+        means = np.add.reduce(z, axis=0) / m
+        z -= means
+        var = np.add.reduce(z * z, axis=0) / m
+        stds = np.sqrt(var)
         # The range test catches constant columns whose std rounds to a tiny
-        # non-zero value; a zero std over a non-zero range is an underflow.
-        # Summed in any order, m copies of c give a mean within about
-        # (m - 1)·(eps/2)·|c| of c (Higham, Accuracy and Stability of
-        # Numerical Algorithms, 2002, §4.2), so a constant column's std is
-        # at most about m·(eps/2)·|mean|, or infinite where the squared
-        # deviations overflow. A column over 8 times that bound is not
-        # constant; only the others need the range test.
+        # non-zero value. Summed in any order, m copies of c give a mean within
+        # about (m - 1)·(eps/2)·|c| of c (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2002, §4.2), so a constant column's std is at
+        # most about m·(eps/2)·|mean|, or infinite where the squared deviations
+        # overflow; only columns within 8 times that need the range test. A
+        # variance below the smallest normal float has lost precision.
         constant = (stds <= (4 * m * _EPS) * np.abs(means)) | (stds == np.inf)
-        constant[constant] = np.ptp(mids[:, constant], axis=0) == 0.0
-        _refuse_column(x, constant,
-                       "is constant (zero variance); it cannot be standardized")
-        _refuse_column(x, stds == 0.0, "cannot be standardized: its midpoints "
-                       "differ, but their variance underflows to zero")
-        _refuse_column(x, ~(np.isfinite(means) & np.isfinite(stds)),
-                       "is too large in magnitude to standardize: its midpoint "
-                       "mean or standard deviation overflows")
+        if (constant | ~(var >= _TINY) | ~np.isfinite(means)).any():
+            constant[constant] = np.ptp(centers_matrix(x)[:, constant], axis=0) == 0.0
+            _refuse_column(x, constant,
+                           "is constant (zero variance); it cannot be standardized")
+            _refuse_column(x, var == 0.0, "cannot be standardized: its midpoints "
+                           "differ, but their variance underflows to zero")
+            _refuse_column(x, var < _TINY, "cannot be standardized: its midpoint "
+                           "variance is subnormal, too small to keep full precision")
+            _refuse_column(x, ~(np.isfinite(means) & np.isfinite(stds)),
+                           "is too large in magnitude to standardize: its midpoint "
+                           "mean or standard deviation overflows")
         scale = 1.0 / (math.sqrt(m) * stds)
         z *= scale
         low = x.lo - means
@@ -158,15 +166,16 @@ def _standardize(
         high = x.hi - means
         high *= scale
         # Finite widths imply finite bounds: inf - x and nan - x are not finite.
-        width = high - low
-    if not np.isfinite(width).all():
-        _refuse_column(x, ~(np.isfinite(low) & np.isfinite(high)).all(axis=0),
-                       "is too large in magnitude to standardize: its interval "
-                       "bounds overflow when standardized")
-        _refuse_column(x, ~np.isfinite(width).all(axis=0),
-                       "is too large in magnitude to standardize: its interval "
-                       "widths overflow when standardized")
-    return z, low, high, width
+        width = high - low if bounds else np.subtract(high, low, out=high)
+        if not np.isfinite(width).all():
+            high = (x.hi - means) * scale
+            _refuse_column(x, ~(np.isfinite(low) & np.isfinite(high)).all(axis=0),
+                           "is too large in magnitude to standardize: its "
+                           "interval bounds overflow when standardized")
+            _refuse_column(x, ~np.isfinite(width).all(axis=0),
+                           "is too large in magnitude to standardize: its "
+                           "interval widths overflow when standardized")
+    return (z, low, high) if bounds else (z, np.multiply(width, 0.5, out=width))
 
 
 def standardize(x: IntervalMatrix) -> StandardizedBundle:
@@ -178,10 +187,10 @@ def standardize(x: IntervalMatrix) -> StandardizedBundle:
     zero mean and unit norm, and Zt·Z is the midpoint correlation matrix.
 
     Raises DataError when m < 2, or when a midpoint column is constant, its
-    variance underflows, its mean or std overflows, or its mapped bounds or
-    their widths overflow.
+    variance underflows to zero or is subnormal, its mean or std overflows,
+    or its mapped bounds or their widths overflow.
     """
-    z, low, high, _ = _standardize(x)
+    z, low, high = _standardize(x, bounds=True)
     return StandardizedBundle(z=z, bounds=BoundsPair(low, high))
 
 
@@ -225,18 +234,21 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
 def _duality_pca(x: IntervalMatrix, q: int | None, route: str) -> PcaResult:
     """The one body behind both routes: solve the Gram product of
     A = Z (``"zzt"``) or A = Zt (``"ztz"``), carry the solved family across
-    with ``dual_transport(A, ...)``, orient by U, take the centres from the
+    by the duality transport, orient by U, take the centres from the
     duality relations, and spread them."""
-    z, _, _, width = _standardize(x)
+    z, radius = _standardize(x)
     a, other = (z, "ztz") if route == "zzt" else (z.T, "zzt")
     _check_gram_size(route, a.shape[0], other, a.shape[1])
     # A·At is exactly symmetric (one BLAS triangle, mirrored) and finite, as
-    # |z| <= 1, so it skips eigen_sym's checks.
+    # |z| <= 1; the kept eigenvalues exceed 1e-10 times the largest, at least
+    # 1 (the trace is n): neither eigen_sym's checks nor the transport's apply.
     eig = _eigh_descending(a @ a.T)
     q = _resolve_q(eig, q)
     lam = eig.values[:q].copy()
+    root_lam = np.sqrt(lam)
     solved = eig.vectors[:, :q].copy()
-    carried = dual_transport(a, solved, lam)
+    carried = _transport(a, solved, root_lam)
+    del z, a
     u, v = (carried, solved) if route == "zzt" else (solved, carried)
     # Orient each component by the sign rule on U and flip V alongside, so
     # each column pair stays a transport pair.
@@ -246,33 +258,24 @@ def _duality_pca(x: IntervalMatrix, q: int | None, route: str) -> PcaResult:
     pcs = _default_labels("PC", q)
     # Centres by the duality relations Zt·V = U·sqrt(lam) and Z·U = V·sqrt(lam);
     # scores live in the unit-variance scale of the data, sqrt(m) times z's.
-    root_m = math.sqrt(z.shape[0])
-    radius = np.divide(width, 2.0, out=width)
-    center_scores = v * (root_m * np.sqrt(lam))
-    center_correlations = u * np.sqrt(lam)
-    # standardize bounds the widths, not sqrt(m) times the radii nor their
-    # sums over a row, so the spreads can still overflow; _spread then finds
-    # non-finite ends, and the column holding the largest radius is named.
+    root_m = math.sqrt(x.shape[0])
+    center_scores = v * (root_m * root_lam)
+    center_correlations = u * root_lam
+    # The radii are finite, but sqrt(m) times them, or their sums in a spread,
+    # can overflow; _spread then refuses, and the column of the largest is named.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = _spread(center_scores, root_m * radius, u, x.rows, pcs)
             correlations = _spread(center_correlations, radius.T, v, x.cols, pcs)
+            radius *= root_m
+            scores = _spread(center_scores, radius, u, x.rows, pcs)
     except DataError:
-        widest = x.cols[int(np.argmax(radius.max(axis=0)))]
+        widest = x.cols[int(np.argmax(_standardize(x)[1].max(axis=0)))]
         raise DataError(
             f"column {widest!r} is too large in magnitude for interval PCA: "
             "its interval radii overflow when projected onto the components"
         ) from None
-    return PcaResult(
-        eigenvalues=lam,
-        loadings_u=u,
-        axes_v=v,
-        scores=scores,
-        correlations=correlations,
-        center_scores=center_scores,
-        center_correlations=center_correlations,
-        method_used=route,
-    )
+    return PcaResult(lam, u, v, scores, correlations, center_scores,
+                     center_correlations, route)
 
 
 def pca_zzt(x: IntervalMatrix, q: int | None = None) -> PcaResult:
@@ -310,12 +313,8 @@ def pca_auto(x: IntervalMatrix, q: int | None = None) -> PcaResult:
 def clamp_correlations(table: IntervalMatrix) -> IntervalMatrix:
     """Clip interval endpoints to the unit ball [-1, 1]."""
     # Clipping both ends to one range keeps lo <= hi.
-    return IntervalMatrix._derived(
-        table.rows,
-        table.cols,
-        np.clip(table.lo, -1.0, 1.0),
-        np.clip(table.hi, -1.0, 1.0),
-    )
+    return IntervalMatrix._derived(table.rows, table.cols, np.clip(table.lo, -1.0, 1.0),
+                                   np.clip(table.hi, -1.0, 1.0))
 
 
 def flip_component(result: PcaResult, k: int) -> PcaResult:
@@ -328,25 +327,20 @@ def flip_component(result: PcaResult, k: int) -> PcaResult:
     if not 0 <= k < result.eigenvalues.size:
         raise DataError(f"component index {k} out of range")
 
-    def flip_cols(mat: np.ndarray) -> np.ndarray:
-        out = mat.copy()
-        out[:, k] = -out[:, k]
-        return out
+    flip = np.arange(result.eigenvalues.size) == k
+    sign = np.where(flip, -1.0, 1.0)
 
     def flip_intervals(table: IntervalMatrix) -> IntervalMatrix:
-        lo = table.lo.copy()
-        hi = table.hi.copy()
-        lo[:, k], hi[:, k] = -table.hi[:, k], -table.lo[:, k]
-        return IntervalMatrix._derived(table.rows, table.cols, lo, hi)
+        lo = np.where(flip, -table.hi, table.lo)
+        return IntervalMatrix._derived(table.rows, table.cols, lo,
+                                       np.where(flip, -table.lo, table.hi))
 
     return replace(
-        result,
-        loadings_u=flip_cols(result.loadings_u),
-        axes_v=flip_cols(result.axes_v),
+        result, loadings_u=result.loadings_u * sign, axes_v=result.axes_v * sign,
         scores=flip_intervals(result.scores),
         correlations=flip_intervals(result.correlations),
-        center_scores=flip_cols(result.center_scores),
-        center_correlations=flip_cols(result.center_correlations),
+        center_scores=result.center_scores * sign,
+        center_correlations=result.center_correlations * sign,
     )
 
 

@@ -601,9 +601,11 @@ def aggregate_classic(table: ClassicTable, concept_col: str) -> IntervalMatrix:
         np.intp,
         count=len(table.rows),
     )
-    # A stable sort keeps each group's rows contiguous and in input order.
-    by_group = table.values[np.argsort(group, kind="stable")]
+    # A stable sort keeps each group's rows contiguous and in input order;
+    # gathered column-major, each reduction runs along contiguous memory.
+    by_group = np.ascontiguousarray(table.values.T[:, np.argsort(group, kind="stable")])
     starts = np.concatenate(([0], np.cumsum(np.bincount(group))[:-1]))
-    lo = np.minimum.reduceat(by_group, starts, axis=0)
-    hi = np.maximum.reduceat(by_group, starts, axis=0)
-    return IntervalMatrix(tuple(index), table.cols, lo, hi)
+    lo = np.minimum.reduceat(by_group, starts, axis=1)
+    hi = np.maximum.reduceat(by_group, starts, axis=1)
+    return IntervalMatrix(tuple(index), table.cols, np.ascontiguousarray(lo.T),
+                          np.ascontiguousarray(hi.T))

@@ -338,12 +338,15 @@ class TestExitCodes:
         (("[0,0]", "[1e-150,1e-150]", "[0,0]", "[-8e157,8e157]"),
          "is too large in magnitude to standardize: its interval widths overflow "
          "when standardized"),
+        (("[0,0]", "[-6.8218e-161,-6.8218e-161]"),
+         "cannot be standardized: its midpoint variance is subnormal, too small "
+         "to keep full precision"),
         # Standardizes, but sqrt(9) times the last radius overflows the scores.
         (("[0,0]", "[1e-150,1e-150]") + ("[0,0]",) * 6 + ("[-6.1e157,6.1e157]",),
          "is too large in magnitude for interval PCA: its interval radii overflow "
          "when projected onto the components"),
     ], ids=["bounds-overflow", "variance-underflow", "width-overflow",
-            "scaled-radius-overflow"])
+            "variance-subnormal", "scaled-radius-overflow"])
     def test_unstandardizable_column_is_2(self, cells, message, tmp_path, capsys):
         rows = "".join(
             f'{label},"{cell}","[{y},{y}]"\n'
