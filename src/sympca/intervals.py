@@ -130,9 +130,9 @@ class IntervalMatrix:
                  lo: np.ndarray, hi: np.ndarray) -> "IntervalMatrix":
         """Trusted constructor for float arrays the library derives from a
         validated table: the labels come from that table (or are generated),
-        the shapes match them and lo <= hi holds by construction, so only
-        finiteness, which an overflowing product can break, is checked."""
-        _check_grid_finite(lo, hi)
+        the shapes match them and lo <= hi holds by construction. So does
+        finiteness, except where a product can overflow, which ``_spread``,
+        the one caller that forms products, checks itself."""
         table = object.__new__(cls)
         object.__setattr__(table, "rows", rows)
         object.__setattr__(table, "cols", cols)
@@ -181,8 +181,12 @@ def _spread(centre, radius, weights, rows, cols) -> IntervalMatrix:
     # radius >= 0 makes half >= 0, and then rounding keeps fl(c - half) <= c <=
     # fl(c + half): c lies inside exactly, and a zero radius gives c at both ends.
     # The low ends are formed first, the high ends then in half's own buffer.
-    # Only finiteness is left to check: the products can overflow.
+    # Only finiteness is left to check: the products can overflow. half is >= 0
+    # or NaN (inf·0), and the centres are bounded, so both ends are finite
+    # exactly when half's largest entry is.
     half = radius @ np.abs(weights)
+    if not np.isfinite(half.max()):
+        raise DataError("interval grid contains non-finite entries")
     return IntervalMatrix._derived(rows, cols, centre - half, np.add(half, centre, out=half))
 
 

@@ -21,10 +21,13 @@ the interval radii projected onto |eigenvectors|:
   variable columns' radii projected onto |V|.
 
 A call keeps two m x n arrays, Z and the radii, each formed once: the
-midpoints are centred and scaled in place into Z, and the mapped upper bounds,
-less the mapped lower ones, are halved in place into the radii. The lower
-bounds go once the radii exist, and Z once the transport is formed; between
-the correlation and the score spreads the radii are scaled by sqrt(m) in place.
+midpoints are centred and scaled in place into Z, and the widths hi - lo are
+scaled in place by s/2 into the radii, s = 1 / (sqrt(m)·std) being Z's column
+scale. Two roundings keep each radius within 2 eps (relative) of the exact
+(hi - lo)·s/2; the difference of the mapped bounds would cancel where a cell
+lies far from its column's mean, and it costs more passes. Z goes once the
+transport is formed; between the correlation and the score spreads the radii
+are scaled by sqrt(m) in place.
 
 ``pca_auto`` picks whichever path has the smaller eigenproblem. The solver
 leaves LAPACK's signs; each component is oriented here, once, by the sign
@@ -74,6 +77,7 @@ _SIGN_TIE_RTOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_RADIUS_SAFE = float(np.finfo(float).max) / 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +130,23 @@ def _refuse_column(x: IntervalMatrix, bad: np.ndarray, reason: str) -> None:
         raise DataError(f"column {x.cols[int(np.argmax(bad))]!r} {reason}")
 
 
+def _refuse_overflow(x: IntervalMatrix, means: np.ndarray, scale: np.ndarray,
+                     radius: np.ndarray) -> None:
+    """Raise DataError naming the first column whose mapped bounds, their
+    width or ``radius`` is not finite."""
+    low = (x.lo - means) * scale
+    high = (x.hi - means) * scale
+    _refuse_column(x, ~(np.isfinite(low) & np.isfinite(high)).all(axis=0),
+                   "is too large in magnitude to standardize: its "
+                   "interval bounds overflow when standardized")
+    _refuse_column(x, ~(np.isfinite(high - low) & np.isfinite(radius)).all(axis=0),
+                   "is too large in magnitude to standardize: its "
+                   "interval widths overflow when standardized")
+
+
 def _standardize(x: IntervalMatrix, bounds: bool = False) -> tuple[np.ndarray, ...]:
     """The body of ``standardize``: z and, checked finite, the mapped lower and
-    upper bounds (``bounds=True``) or the radii, formed in the upper ones' buffer."""
+    upper bounds (``bounds=True``) or the radii (hi - lo)·(s/2)."""
     m = x.shape[0]
     if m < 2:
         raise DataError(f"need at least 2 rows to standardize, got {m}")
@@ -161,21 +179,25 @@ def _standardize(x: IntervalMatrix, bounds: bool = False) -> tuple[np.ndarray, .
                            "mean or standard deviation overflows")
         scale = 1.0 / (math.sqrt(m) * stds)
         z *= scale
-        low = x.lo - means
-        low *= scale
-        high = x.hi - means
-        high *= scale
-        # Finite widths imply finite bounds: inf - x and nan - x are not finite.
-        width = high - low if bounds else np.subtract(high, low, out=high)
-        if not np.isfinite(width).all():
-            high = (x.hi - means) * scale
-            _refuse_column(x, ~(np.isfinite(low) & np.isfinite(high)).all(axis=0),
-                           "is too large in magnitude to standardize: its "
-                           "interval bounds overflow when standardized")
-            _refuse_column(x, ~np.isfinite(width).all(axis=0),
-                           "is too large in magnitude to standardize: its "
-                           "interval widths overflow when standardized")
-    return (z, low, high) if bounds else (z, np.multiply(width, 0.5, out=width))
+        if bounds:
+            low, high = ((v - means) * scale for v in (x.lo, x.hi))
+            # Finite widths imply finite bounds: inf - x and nan - x are not finite.
+            if not np.isfinite(high - low).all():
+                _refuse_overflow(x, means, scale, high - low)
+            return z, low, high
+        # The radii straight from the widths, rounded twice; the difference of
+        # the mapped bounds cancels where a cell sits far from its column's
+        # mean. hi >= lo and s > 0, so radius >= 0. A radius up to a quarter of
+        # the largest float leaves the mapped bounds and their width finite;
+        # past it, hi - lo may have overflowed where the standardized width
+        # did not, and (hi/2 - lo/2)·s is the same value (halving is exact).
+        radius = np.subtract(x.hi, x.lo)
+        radius *= 0.5 * scale
+        if not radius.max(initial=0.0) <= _RADIUS_SAFE:
+            radius = np.where(np.isfinite(radius), radius,
+                              (x.hi * 0.5 - x.lo * 0.5) * scale)
+            _refuse_overflow(x, means, scale, radius)
+    return z, radius
 
 
 def standardize(x: IntervalMatrix) -> StandardizedBundle:
@@ -224,9 +246,11 @@ def _resolve_q(eig: EigenDecomposition, q: int | None) -> int:
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
     """Per-column factor of -1 or 1 that makes each column's sign pivot,
     its lowest-index entry of (tied) largest magnitude, positive."""
-    mags = np.abs(vectors)
-    tied = mags >= mags.max(axis=0) * (1.0 - _SIGN_TIE_RTOL)
-    pivots = np.argmax(tied, axis=0)
+    # Reduced along the rows of the contiguous transpose: a tall U's columns
+    # are strided, and axis-0 reductions over them are slow.
+    mags = np.abs(vectors.T, order="C")
+    tied = mags >= mags.max(axis=1, keepdims=True) * (1.0 - _SIGN_TIE_RTOL)
+    pivots = np.argmax(tied, axis=1)
     pivot_values = vectors[pivots, np.arange(vectors.shape[1])]
     return np.where(pivot_values < 0, -1.0, 1.0)
 

@@ -584,7 +584,8 @@ def aggregate_classic(table: ClassicTable, concept_col: str) -> IntervalMatrix:
 
     ``concept_col`` must name the designated concept column; rows are grouped
     by its text. One output row per distinct label, in order of first
-    appearance; each cell is the [min, max] of the group's values.
+    appearance; each cell is the [min, max] of the group's values, with the
+    zeros ordered -0.0 < 0.0 as by IEEE 754-2019 minimum and maximum.
     """
     if len(table.rows) == 0:
         raise DataError("cannot aggregate an empty table")
@@ -607,5 +608,15 @@ def aggregate_classic(table: ClassicTable, concept_col: str) -> IntervalMatrix:
     starts = np.concatenate(([0], np.cumsum(np.bincount(group))[:-1]))
     lo = np.minimum.reduceat(by_group, starts, axis=1)
     hi = np.maximum.reduceat(by_group, starts, axis=1)
+    # A zero extreme takes its sign from the reduction's loop order; IEEE
+    # 754-2019 minimum and maximum order -0.0 below 0.0. Only a zero end
+    # needs the group's zeros looked at.
+    if not (lo.all() and hi.all()):
+        zeros = by_group == 0.0
+        negative = np.signbit(by_group)
+        has_neg = np.logical_or.reduceat(zeros & negative, starts, axis=1)
+        has_pos = np.logical_or.reduceat(zeros & ~negative, starts, axis=1)
+        lo = np.where(lo == 0.0, np.where(has_neg, -0.0, 0.0), lo)
+        hi = np.where(hi == 0.0, np.where(has_pos, 0.0, -0.0), hi)
     return IntervalMatrix(tuple(index), table.cols, np.ascontiguousarray(lo.T),
                           np.ascontiguousarray(hi.T))

@@ -138,7 +138,7 @@ class TestPcaCommand:
         assert text == json.dumps(json.loads(text)) + "\n"
         assert text.startswith('{"method_used": "ztz", "eigenvalues": [2.9840440378303663, ')
         assert hashlib.sha256(data).hexdigest() == (
-            "fa893a6868054567840de1790b77da53f1d308f0329da233395aaf0f3215db61"
+            "c17397719b52b5ea197d7b291b52df0bffda3a7ba819a283ab7901d6843035a8"
         )
 
     def test_carriage_return_in_label_survives(self, tmp_path):

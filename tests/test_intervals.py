@@ -12,6 +12,7 @@ from sympca import (
     interval_project,
     vertex_extremes,
 )
+from sympca.intervals import _spread
 
 
 class TestInterval:
@@ -78,11 +79,15 @@ class TestIntervalMatrix:
         with pytest.raises(DataError, match="no data column left"):
             t.without_columns(["x", "y", "z"])
 
-    def test_derived_constructor_checks_finiteness(self):
-        lo = np.array([[0.0, -np.inf]])
-        hi = np.array([[1.0, 1.0]])
-        with pytest.raises(DataError, match="interval grid contains non-finite entries"):
-            IntervalMatrix._derived(("a",), ("x", "y"), lo, hi)
+    def test_spread_checks_finiteness(self):
+        # The half-widths overflow, or are NaN where an infinite radius meets
+        # a zero weight; either way the spread refuses.
+        centre = np.zeros((1, 2))
+        for radius, weights in (([[1e308, 1.0]], [[1e10, 0.0], [0.0, 1.0]]),
+                                ([[np.inf, 1.0]], [[0.0, 0.0], [1.0, 1.0]])):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                    DataError, match="interval grid contains non-finite entries"):
+                _spread(centre, np.array(radius), np.array(weights), ("a",), ("x", "y"))
 
     def test_equality(self):
         args = (("a",), ("x",), [[0.0]], [[1.0]])

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from sympca import (
     vertex_extremes,
 )
 from sympca.bench import random_interval_table
+from sympca.pca import _standardize
 
 
 def _degenerate(table: IntervalMatrix) -> IntervalMatrix:
@@ -178,6 +180,35 @@ class TestStandardize:
                 "interval radii overflow when projected onto the components"
             )):
                 pca_auto(t)
+
+    def test_radii_exact_far_from_the_mean(self):
+        # Cells 1e-3 to 2e-2 wide sit up to 2e7 widths from their column's
+        # mean. The difference of the mapped bounds cancels there (it is off by
+        # up to 7.4e-10 relative on this table); (hi - lo)·(s/2) rounds twice.
+        rng = np.random.default_rng(19)
+        mids = rng.normal(0.0, 1e4, (40, 3))
+        half = rng.uniform(5e-4, 1e-2, (40, 3))
+        t = IntervalMatrix(tuple(f"r{i}" for i in range(40)), ("a", "b", "c"),
+                           mids - half, mids + half)
+        radius = _standardize(t)[1]
+        scale = _two_pass_scale(t)[1]
+        for (i, j), got in np.ndenumerate(radius):
+            exact = (Fraction(t.hi[i, j]) - Fraction(t.lo[i, j])) * Fraction(scale[j]) / 2
+            assert abs(Fraction(got) - exact) <= 2 * Fraction(np.finfo(float).eps) * exact, (i, j)
+
+    def test_radius_past_the_width_limit_answered(self):
+        # hi - lo overflows for the cell [-1e308, 1e308], but its standardized
+        # width, 1.4e158, does not: the radius is (hi/2 - lo/2)·s, the same value.
+        low = np.column_stack([(1e150, -1e150, 0.0), (1.0, 3.0, 2.0)])
+        high = low.copy()
+        low[-1, 0], high[-1, 0] = -1e308, 1e308
+        t = IntervalMatrix(("r", "s", "t"), ("x", "y"), low, high)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _standardize(t)[1][-1, 0] == 1e308 * _two_pass_scale(t)[1][0]
+            for pca in (pca_zzt, pca_ztz):
+                res = pca(t)
+                assert res.scores.hi[-1, 0] == -res.scores.lo[-1, 0] > 8e157
 
     def test_constant_column_named_in_error(self):
         t = IntervalMatrix(
@@ -321,13 +352,19 @@ class TestContainment:
         assert np.all(res.center_correlations <= res.correlations.hi)
 
 
-def _standardize_two_pass(table: IntervalMatrix):
-    """Reference z, low and high: np.mean and np.std of the midpoints, then
-    (v - mean) * scale for each of midpoints, lower and upper bounds."""
+def _two_pass_scale(table: IntervalMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """np.mean of the midpoints and the scale 1 / (sqrt(m)·np.std)."""
     mids = centers_matrix(table)
-    means = np.mean(mids, axis=0)
-    scale = 1.0 / (math.sqrt(mids.shape[0]) * np.std(mids, axis=0))
-    return tuple((v - means) * scale for v in (mids, table.lo, table.hi))
+    return (np.mean(mids, axis=0),
+            1.0 / (math.sqrt(mids.shape[0]) * np.std(mids, axis=0)))
+
+
+def _standardize_two_pass(table: IntervalMatrix):
+    """Reference z, low and high: (v - mean) * scale for each of midpoints,
+    lower and upper bounds."""
+    means, scale = _two_pass_scale(table)
+    return tuple((v - means) * scale
+                 for v in (centers_matrix(table), table.lo, table.hi))
 
 
 class TestStandardizeOnePass:
@@ -361,11 +398,11 @@ class TestStandardizeOnePass:
 
 def _reference_pca(table: IntervalMatrix, route: str) -> dict[str, np.ndarray]:
     """Every PcaResult array by the plain formulas, one new array per step:
-    the two-pass z and bounds, eigh of A·At (A = Z or Zt) sorted stably by
+    the two-pass z and scale, eigh of A·At (A = Z or Zt) sorted stably by
     descending eigenvalue, the transport At·V / sqrt(lam), the sign rule on
     U, the centres U·sqrt(lam) and V·(sqrt(m)·sqrt(lam)), and the spreads
-    c ± (sqrt(m)·r) @ |U| and c ± rt @ |V| with r = (high - low) / 2."""
-    z, low, high = _standardize_two_pass(table)
+    c ± (sqrt(m)·r) @ |U| and c ± rt @ |V| with r = (hi - lo)·(scale/2)."""
+    z = _standardize_two_pass(table)[0]
     a = z if route == "zzt" else z.T
     values, vectors = np.linalg.eigh(a @ a.T)
     order = np.argsort(-values, kind="stable")
@@ -381,7 +418,7 @@ def _reference_pca(table: IntervalMatrix, route: str) -> dict[str, np.ndarray]:
     root_m = math.sqrt(z.shape[0])
     center_scores = v * (root_m * np.sqrt(lam))
     center_correlations = u * np.sqrt(lam)
-    radius = (high - low) / 2.0
+    radius = (table.hi - table.lo) * (0.5 * _two_pass_scale(table)[1])
     score_half = (root_m * radius) @ np.abs(u)
     corr_half = radius.T @ np.abs(v)
     return {
@@ -413,10 +450,10 @@ class TestBitIdentity:
 class TestPcaMemory:
     @pytest.mark.parametrize("m, n", [(2000, 20), (20, 2000), (500, 40)])
     def test_traced_peak(self, m, n):
-        # Z and the radii are the only m x n arrays a call keeps, and the
-        # mapped lower bounds and Z are freed early: 5.2, 5.8 and 5.6 times
-        # the input's lo were measured, against 9.2, 7.9 and 9.4 times when
-        # every step formed a new array.
+        # Z and the radii are the only m x n arrays a call keeps, Z is freed
+        # early, and the radii come from the widths without the mapped bounds:
+        # 5.1, 5.8 and 5.4 times the input's lo were measured, against 9.2,
+        # 7.9 and 9.4 times when every step formed a new array.
         x = random_interval_table(m, n, np.random.default_rng(7))
         pca_auto(x)
         tracemalloc.start()

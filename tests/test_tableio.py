@@ -292,6 +292,37 @@ class TestAggregateClassic:
         assert got.rows == rows and got.cols == cols
         assert np.array_equal(got.lo, lo) and np.array_equal(got.hi, hi)
 
+    def test_zero_ends_signed_as_ieee_minimum_maximum(self):
+        # Groups of 0.0, -0.0, 1.0 and -1.0: a zero minimum is -0.0 when the
+        # group holds a -0.0, and a zero maximum is 0.0 when it holds a 0.0.
+        rng = np.random.default_rng(5)
+        m, n = 2000, 12
+        values = rng.choice([0.0, -0.0, 1.0, -1.0], size=(m, n))
+        keys = tuple(f"g{k}" for k in rng.integers(0, 300, m))
+        t = ClassicTable(
+            tuple(map(str, range(m))), tuple(f"c{j}" for j in range(n)), values,
+            concept="g", concept_labels=keys,
+        )
+        members: dict[str, list[int]] = {}
+        for i, key in enumerate(keys):
+            members.setdefault(key, []).append(i)
+        lo = np.empty((len(members), n))
+        hi = np.empty_like(lo)
+        for g, rows in enumerate(members.values()):
+            for j in range(n):
+                cells = [float(values[i, j]) for i in rows]
+                signs = {math.copysign(1.0, c) for c in cells if c == 0.0}
+                low, high = min(cells), max(cells)
+                if low == 0.0:
+                    low = -0.0 if -1.0 in signs else 0.0
+                if high == 0.0:
+                    high = 0.0 if 1.0 in signs else -0.0
+                lo[g, j], hi[g, j] = low, high
+        got = aggregate_classic(t, "g")
+        assert got.rows == tuple(members)
+        assert got.lo.tobytes() == lo.tobytes()
+        assert got.hi.tobytes() == hi.tobytes()
+
     def test_single_row_groups_match_loop(self):
         t = ClassicTable(
             ("1", "2", "3"), ("x",), np.array([[2.0], [-1.0], [5.0]]),
