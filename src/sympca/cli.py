@@ -8,8 +8,9 @@ Subcommands:
   bench        time the two eigenproblem routes on synthetic tables
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-An unexpected exception also exits 3, reported as "internal error". Errors
-print a one-line diagnostic, never a stack trace.
+Running out of memory exits 2, reported as "out of memory". An unexpected
+exception exits 3, reported as "internal error". Errors print a one-line
+diagnostic, never a stack trace.
 """
 
 from __future__ import annotations
@@ -214,8 +215,13 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # the table is too large, as for the Gram limit
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_DATA
     except Exception as exc:  # contract: one-line diagnostic, never a trace
-        print(f"error: internal error: {exc}", file=sys.stderr)
+        detail = str(exc) or type(exc).__name__
+        print(f"error: internal error: {detail}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

@@ -82,11 +82,12 @@ _RADIUS_SAFE = float(np.finfo(float).max) / 4
 
 @dataclass(frozen=True, eq=False)
 class StandardizedBundle:
-    """Standardized midpoint matrix with matching interval bounds.
+    """Standardized midpoint matrix with the interval box around it.
 
     ``z`` has zero-mean columns of unit Euclidean norm (population standard
-    deviation with an extra 1/sqrt(m) factor); ``bounds`` applies the same
-    affine map to the lower/upper interval bounds, so bounds.low <= z <=
+    deviation with an extra 1/sqrt(m) factor); ``bounds`` is z ∓ r, r the
+    radii (hi - lo)·s/2: the same affine map applied to the lower/upper
+    interval bounds, formed as the routes project it, so bounds.low <= z <=
     bounds.high elementwise.
     """
 
@@ -144,9 +145,9 @@ def _refuse_overflow(x: IntervalMatrix, means: np.ndarray, scale: np.ndarray,
                    "interval widths overflow when standardized")
 
 
-def _standardize(x: IntervalMatrix, bounds: bool = False) -> tuple[np.ndarray, ...]:
-    """The body of ``standardize``: z and, checked finite, the mapped lower and
-    upper bounds (``bounds=True``) or the radii (hi - lo)·(s/2)."""
+def _standardize(x: IntervalMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The body of ``standardize``: z and the radii (hi - lo)·(s/2), checked
+    finite."""
     m = x.shape[0]
     if m < 2:
         raise DataError(f"need at least 2 rows to standardize, got {m}")
@@ -179,12 +180,6 @@ def _standardize(x: IntervalMatrix, bounds: bool = False) -> tuple[np.ndarray, .
                            "mean or standard deviation overflows")
         scale = 1.0 / (math.sqrt(m) * stds)
         z *= scale
-        if bounds:
-            low, high = ((v - means) * scale for v in (x.lo, x.hi))
-            # Finite widths imply finite bounds: inf - x and nan - x are not finite.
-            if not np.isfinite(high - low).all():
-                _refuse_overflow(x, means, scale, high - low)
-            return z, low, high
         # The radii straight from the widths, rounded twice; the difference of
         # the mapped bounds cancels where a cell sits far from its column's
         # mean. hi >= lo and s > 0, so radius >= 0. A radius up to a quarter of
@@ -201,19 +196,21 @@ def _standardize(x: IntervalMatrix, bounds: bool = False) -> tuple[np.ndarray, .
 
 
 def standardize(x: IntervalMatrix) -> StandardizedBundle:
-    """Center and reduce the midpoint matrix, mapping bounds alongside.
+    """Center and reduce the midpoint matrix, with the box the routes project.
 
     Entry (i, j) of z is (mid_ij - mean_j) / (sqrt(m) * std_j) with std the
-    population standard deviation (divisor m) of midpoint column j; the same
-    map is applied to the lower and upper bounds. Every column of z then has
-    zero mean and unit norm, and Zt·Z is the midpoint correlation matrix.
+    population standard deviation (divisor m) of midpoint column j. Every
+    column of z then has zero mean and unit norm, and Zt·Z is the midpoint
+    correlation matrix. The bounds are z ∓ r with r = (hi - lo)·s/2 the
+    radii, s = 1 / (sqrt(m) * std) the column scale: the same affine map of
+    lo and hi, and the box that ``pca_zzt`` and ``pca_ztz`` project.
 
     Raises DataError when m < 2, or when a midpoint column is constant, its
     variance underflows to zero or is subnormal, its mean or std overflows,
     or its mapped bounds or their widths overflow.
     """
-    z, low, high = _standardize(x, bounds=True)
-    return StandardizedBundle(z=z, bounds=BoundsPair(low, high))
+    z, radius = _standardize(x)
+    return StandardizedBundle(z, BoundsPair(z - radius, z + radius))
 
 
 def _check_gram_size(route: str, side: int, other: str, other_side: int) -> None:

@@ -418,3 +418,23 @@ class TestExitCodes:
         ])
         assert code == 3
         assert capsys.readouterr().err == "error: internal error: synthetic bug\n"
+
+    @pytest.mark.parametrize("raised, expected", [
+        (RuntimeError(), (3, "error: internal error: RuntimeError\n")),
+        (MemoryError(), (2, "error: out of memory\n")),
+        (MemoryError("Unable to allocate 29.8 GiB"),
+         (2, "error: out of memory: Unable to allocate 29.8 GiB\n")),
+    ])
+    def test_empty_message_and_memory_error_named(
+        self, monkeypatch, oils_csv, tmp_path, capsys, raised, expected
+    ):
+        import sympca.cli as cli_mod
+
+        def boom(table, q=None):
+            raise raised
+
+        monkeypatch.setattr(cli_mod, "pca_auto", boom)
+        code = main([
+            "pca", "--input", str(oils_csv), "--output", str(tmp_path / "o.json"),
+        ])
+        assert (code, capsys.readouterr().err) == expected

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in ``src/``.
+"""Every demo script runs to completion against the library in ``src/``,
+with every warning an error, as the library's tests run.
 
 Each demo runs from a copy of ``demos/`` so the SVGs it writes never touch
 the committed ``demos/output``; the SVGs demo 02 writes there must equal the
@@ -28,7 +29,7 @@ def test_demo_runs(demo, tmp_path):
         svg.unlink()
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(
-        [sys.executable, str(work / demo.name)],
+        [sys.executable, "-W", "error", str(work / demo.name)],
         cwd=tmp_path,
         env=env,
         capture_output=True,
