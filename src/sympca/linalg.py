@@ -93,11 +93,19 @@ def dual_transport(z: np.ndarray, vectors: np.ndarray, lam: np.ndarray) -> np.nd
     Pass ``z.T`` to map eigenvectors of Zt·Z back to Z·Zt. The columns come
     out unit-length (within roundoff) whenever each (lam_k, vectors[:, k])
     is a true eigenpair with lam_k > 0. A lam_k at or below 1e-12 means the
-    direction lies in the null space, which the transport cannot cross.
+    direction lies in the null space, which the transport cannot cross: a
+    NumericError. ``z`` or ``vectors`` not 2-D, shapes that do not match, or
+    a non-finite entry are a DataError.
     """
     z = np.asarray(z, dtype=float)
     vectors = np.asarray(vectors, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    for name, arr in (("z", z), ("vectors", vectors)):
+        if arr.ndim != 2:
+            raise DataError(f"{name} must be 2-D, got shape {arr.shape}")
+    for name, arr in (("z", z), ("vectors", vectors), ("lam", lam)):
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"{name} contains non-finite entries")
     if vectors.shape[0] != z.shape[0]:
         raise DataError(
             f"vector length {vectors.shape[0]} does not match row count {z.shape[0]}"

@@ -77,7 +77,9 @@ _SIGN_TIE_RTOL = 1e-12
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
-_RADIUS_SAFE = float(np.finfo(float).max) / 4
+_RADIUS_MAX = float(np.finfo(float).max) / 2
+_WIDTHS_OVERFLOW = ("is too large in magnitude to standardize: its interval "
+                    "widths overflow when standardized")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +90,7 @@ class StandardizedBundle:
     deviation with an extra 1/sqrt(m) factor); ``bounds`` is z ∓ r, r the
     radii (hi - lo)·s/2: the same affine map applied to the lower/upper
     interval bounds, formed as the routes project it, so bounds.low <= z <=
-    bounds.high elementwise.
+    bounds.high elementwise, also where ``standardize`` scaled a column first.
     """
 
     z: np.ndarray
@@ -131,20 +133,6 @@ def _refuse_column(x: IntervalMatrix, bad: np.ndarray, reason: str) -> None:
         raise DataError(f"column {x.cols[int(np.argmax(bad))]!r} {reason}")
 
 
-def _refuse_overflow(x: IntervalMatrix, means: np.ndarray, scale: np.ndarray,
-                     radius: np.ndarray) -> None:
-    """Raise DataError naming the first column whose mapped bounds, their
-    width or ``radius`` is not finite."""
-    low = (x.lo - means) * scale
-    high = (x.hi - means) * scale
-    _refuse_column(x, ~(np.isfinite(low) & np.isfinite(high)).all(axis=0),
-                   "is too large in magnitude to standardize: its "
-                   "interval bounds overflow when standardized")
-    _refuse_column(x, ~(np.isfinite(high - low) & np.isfinite(radius)).all(axis=0),
-                   "is too large in magnitude to standardize: its "
-                   "interval widths overflow when standardized")
-
-
 def _standardize(x: IntervalMatrix) -> tuple[np.ndarray, np.ndarray]:
     """The body of ``standardize``: z and the radii (hi - lo)·(s/2), checked
     finite."""
@@ -159,39 +147,47 @@ def _standardize(x: IntervalMatrix) -> tuple[np.ndarray, np.ndarray]:
         z -= means
         var = np.add.reduce(z * z, axis=0) / m
         stds = np.sqrt(var)
+        # A variance below the smallest normal float has lost precision, and
+        # one that is not finite has overflowed (an infinite mean makes it so).
+        rescale = ~(np.isfinite(var) & (var >= _TINY))
         # The range test catches constant columns whose std rounds to a tiny
         # non-zero value. Summed in any order, m copies of c give a mean within
         # about (m - 1)·(eps/2)·|c| of c (Higham, Accuracy and Stability of
         # Numerical Algorithms, 2002, §4.2), so a constant column's std is at
-        # most about m·(eps/2)·|mean|, or infinite where the squared deviations
-        # overflow; only columns within 8 times that need the range test. A
-        # variance below the smallest normal float has lost precision.
-        constant = (stds <= (4 * m * _EPS) * np.abs(means)) | (stds == np.inf)
-        if (constant | ~(var >= _TINY) | ~np.isfinite(means)).any():
-            constant[constant] = np.ptp(centers_matrix(x)[:, constant], axis=0) == 0.0
+        # most about m·(eps/2)·|mean|, or not finite; only columns within 8
+        # times that, or rescaled, need the range test.
+        constant = (stds <= (4 * m * _EPS) * np.abs(means)) | rescale
+        if constant.any():
+            # lo + hi overflows only where halving each bound first is exact.
+            mids = centers_matrix(x)
+            mids = np.where(np.isinf(mids), x.lo * 0.5 + x.hi * 0.5, mids)
+            constant[constant] = np.ptp(mids[:, constant], axis=0) == 0.0
             _refuse_column(x, constant,
                            "is constant (zero variance); it cannot be standardized")
-            _refuse_column(x, var == 0.0, "cannot be standardized: its midpoints "
-                           "differ, but their variance underflows to zero")
-            _refuse_column(x, var < _TINY, "cannot be standardized: its midpoint "
-                           "variance is subnormal, too small to keep full precision")
-            _refuse_column(x, ~(np.isfinite(means) & np.isfinite(stds)),
-                           "is too large in magnitude to standardize: its midpoint "
-                           "mean or standard deviation overflows")
+            # z and r do not change under a positive column scale, and 2**-e
+            # is exact in the normal range (Higham, §2.1): each rescaled column
+            # is scaled by it, e the exponent of its largest |midpoint| (0
+            # elsewhere). A bound that overflows so lies over 2**1023 times
+            # that midpoint away: sqrt(m)·r overflows (and 2r when m <= 4).
+            if rescale.any():
+                e = np.where(rescale, np.frexp(np.abs(mids).max(axis=0))[1], 0)
+                lo, hi = np.ldexp(x.lo, -e), np.ldexp(x.hi, -e)
+                _refuse_column(x, ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=0),
+                               _WIDTHS_OVERFLOW)
+                return _standardize(IntervalMatrix._derived(x.rows, x.cols, lo, hi))
         scale = 1.0 / (math.sqrt(m) * stds)
         z *= scale
         # The radii straight from the widths, rounded twice; the difference of
         # the mapped bounds cancels where a cell sits far from its column's
-        # mean. hi >= lo and s > 0, so radius >= 0. A radius up to a quarter of
-        # the largest float leaves the mapped bounds and their width finite;
-        # past it, hi - lo may have overflowed where the standardized width
-        # did not, and (hi/2 - lo/2)·s is the same value (halving is exact).
+        # mean. hi >= lo and s > 0, so radius >= 0. Where hi - lo overflows,
+        # (hi/2 - lo/2)·s is the same value (halving is exact). Past half the
+        # largest float, the width 2r overflows, and with it the box z ∓ r.
         radius = np.subtract(x.hi, x.lo)
         radius *= 0.5 * scale
-        if not radius.max(initial=0.0) <= _RADIUS_SAFE:
+        if not radius.max(initial=0.0) <= _RADIUS_MAX:
             radius = np.where(np.isfinite(radius), radius,
                               (x.hi * 0.5 - x.lo * 0.5) * scale)
-            _refuse_overflow(x, means, scale, radius)
+            _refuse_column(x, ~(radius <= _RADIUS_MAX).all(axis=0), _WIDTHS_OVERFLOW)
     return z, radius
 
 
@@ -205,9 +201,11 @@ def standardize(x: IntervalMatrix) -> StandardizedBundle:
     radii, s = 1 / (sqrt(m) * std) the column scale: the same affine map of
     lo and hi, and the box that ``pca_zzt`` and ``pca_ztz`` project.
 
-    Raises DataError when m < 2, or when a midpoint column is constant, its
-    variance underflows to zero or is subnormal, its mean or std overflows,
-    or its mapped bounds or their widths overflow.
+    A column whose midpoint variance is not finite or below the smallest
+    normal float is first multiplied by 2**-e, e the exponent of its largest
+    |midpoint|; z and r are then those of the table so scaled, bit for bit.
+    Raises DataError when m < 2, or when a midpoint column is constant or
+    its standardized widths 2r (and so the box z ∓ r) overflow.
     """
     z, radius = _standardize(x)
     return StandardizedBundle(z, BoundsPair(z - radius, z + radius))

@@ -60,7 +60,9 @@ class PlotSpec:
     title: str = ""
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.axis_x, Integral) and isinstance(self.axis_y, Integral)):
+        # bool is an Integral, but True is no component index.
+        if not all(isinstance(a, Integral) and not isinstance(a, bool)
+                   for a in (self.axis_x, self.axis_y)):
             raise DataError(
                 f"component indices must be integers, got "
                 f"({self.axis_x!r}, {self.axis_y!r})"

@@ -1,11 +1,14 @@
-"""Outputs that must not depend on the OpenBLAS thread count.
+"""Outputs of two thin tables that do not depend on the OpenBLAS thread count.
 
-The eigenpairs and both centre families are the same bytes under one and two
-OpenBLAS threads: the centres come from the eigenvectors by elementwise
-duality relations, not by a matrix product whose inner sum BLAS may split
-across threads. Only the spread whose inner sum runs over the long side (the
-correlation endpoints of a tall table, the score endpoints of a wide one) can
-still move in its last digits, so those arrays are left out.
+At 5000x20 and 20x5000 the eigenpairs and both centre families are the same
+bytes under one and two OpenBLAS threads: the centres come from the
+eigenvectors by elementwise duality relations, not by a matrix product whose
+inner sum BLAS may split across threads. Only the spread whose inner sum runs
+over the long side (the correlation endpoints of a tall table, the score
+endpoints of a wide one) moved in its last digits, so those arrays are left
+out. Other shapes vary more: at 200x1000 the transported U and the centre
+correlations differ, at 300x300 the eigenpairs too (README, "Eigensolver").
+No difference is asserted, as whether one shows depends on the BLAS build.
 """
 
 from __future__ import annotations

@@ -146,6 +146,21 @@ class TestDualityTransports:
                            "vectors has 2 columns"):
             dual_transport(np.eye(3), np.eye(3)[:, :2], np.ones(count))
 
+    @pytest.mark.parametrize("z, vectors, lam, message", [
+        # NaN passes lam <= 1e-12 and gave a NaN column; inf gave a zero one.
+        (np.eye(2), np.eye(2), [np.nan, 1.0], "lam contains non-finite entries"),
+        (np.eye(2), np.eye(2), [np.inf, 1.0], "lam contains non-finite entries"),
+        (np.diag([np.inf, 1.0]), np.eye(2), [1.0, 1.0], "z contains non-finite entries"),
+        (np.eye(2), np.diag([np.nan, 1.0]), [1.0, 1.0],
+         "vectors contains non-finite entries"),
+        (np.eye(2), [1.0, 0.0], [1.0], "vectors must be 2-D, got shape (2,)"),
+        ([1.0, 0.0], np.eye(2), [1.0, 1.0], "z must be 2-D, got shape (2,)"),
+    ], ids=["nan-lam", "inf-lam", "inf-z", "nan-vectors", "1d-vectors", "1d-z"])
+    def test_bad_arguments_rejected(self, z, vectors, lam, message):
+        with pytest.raises(DataError) as info:
+            dual_transport(z, vectors, lam)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("shape", [(3, 7), (7, 3), (20, 20), (50, 50), (50, 12)])
     def test_spectrum_duality(self, shape):
         rng = np.random.default_rng(sum(shape))

@@ -46,6 +46,30 @@ def _degenerate(table: IntervalMatrix) -> IntervalMatrix:
     return IntervalMatrix(table.rows, table.cols, mids, mids)
 
 
+def _edge_table(mids, lo=None, hi=None) -> IntervalMatrix:
+    """Column x of degenerate cells at ``mids`` (its last cell [lo, hi] when
+    given) beside a column y of (1, 3, 2, 4, ...)."""
+    low = np.column_stack([mids, (1.0, 3.0, 2.0, 4.0)[:len(mids)]])
+    high = low.copy()
+    if lo is not None:
+        low[-1, 0], high[-1, 0] = lo, hi
+    return IntervalMatrix(("r", "s", "t", "u")[:len(mids)], ("x", "y"), low, high)
+
+
+def _assert_answered(table: IntervalMatrix) -> None:
+    """standardize and both routes answer without a warning, and z's columns
+    have zero mean and unit norm inside the box standardize returns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bundle = standardize(table)
+        for pca in (pca_zzt, pca_ztz):
+            assert np.all(np.isfinite(pca(table).scores.hi))
+    assert np.abs(np.linalg.norm(bundle.z, axis=0) - 1.0).max() <= 1e-15
+    assert np.abs(bundle.z.sum(axis=0)).max() <= 1e-15
+    assert np.all(bundle.bounds.low <= bundle.z)
+    assert np.all(bundle.z <= bundle.bounds.high)
+
+
 @st.composite
 def _valid_tables(draw):
     """Interval tables that ``standardize`` accepts: every midpoint column
@@ -108,49 +132,55 @@ class TestStandardize:
         assert np.abs(b.z - expect).max() <= 1e-12
 
     def test_overflowing_column_named_in_error(self):
-        t = IntervalMatrix(
-            ("r", "s", "t"), ("x", "y"),
-            [[1e200, 1.0], [2e200, 3.0], [4e200, 2.0]],
-            [[1e200, 1.0], [2e200, 3.0], [4e200, 2.0]],
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DataError, match="column 'x' is too large"):
-                standardize(t)
-            with pytest.raises(DataError, match="column 'x' is too large"):
-                pca_auto(t)
+        # The midpoint variance of x overflows; x is scaled by 2**-667 first,
+        # so the table gives the same bits as x times 2**-600 does.
+        t = _edge_table((1e200, 2e200, 4e200))
+        _assert_answered(t)
+        lo, hi = t.lo.copy(), t.hi.copy()
+        lo[:, 0], hi[:, 0] = np.ldexp(lo[:, 0], -600), np.ldexp(hi[:, 0], -600)
+        want = pca_auto(IntervalMatrix(t.rows, t.cols, lo, hi))
+        assert pca_auto(t).scores.lo.tobytes() == want.scores.lo.tobytes()
 
     @pytest.mark.parametrize("mids, lo, hi, match", [
-        # Midpoint std is finite, but one wide cell overflows once scaled.
+        # The midpoint std is finite, but one wide cell's radius is not.
         ((0.0, 1e-150, 0.0), -1e308, 1e308,
          "column 'x' is too large in magnitude to standardize: its interval "
-         "bounds overflow"),
-        # The midpoints differ, yet their squared deviations underflow.
-        ((0.0, 5e-301, 0.0), 0.0, 0.0,
-         "column 'x' cannot be standardized: its midpoints differ, but their "
-         "variance underflows to zero"),
+         "widths overflow when standardized"),
+        # The midpoints differ, yet their squared deviations underflow: the
+        # column is scaled by 2**997 first, and the table is answered.
+        ((0.0, 5e-301, 0.0), 0.0, 0.0, None),
         # Both bounds standardize to a finite ±9.2e307, but their width does not.
         ((0.0, 1e-150, 0.0, 0.0), -8e157, 8e157,
          "column 'x' is too large in magnitude to standardize: its interval "
-         "widths overflow"),
-        # The variance, 1.2e-321, is subnormal: unrefused, z's column had
-        # norm 1.00102 and pca_auto an eigenvalue of 2.00204 for a trace of 2.
-        ((0.0, -6.8218e-161), -6.8218e-161, -6.8218e-161,
-         "column 'x' cannot be standardized: its midpoint variance is "
-         "subnormal, too small to keep full precision"),
+         "widths overflow when standardized"),
+        # The variance, 1.2e-321, is subnormal: unscaled, z's column had norm
+        # 1.00102 and pca_auto an eigenvalue of 2.00204 for a trace of 2.
+        ((0.0, -6.8218e-161), -6.8218e-161, -6.8218e-161, None),
     ], ids=["bounds-overflow", "variance-underflow", "width-overflow",
             "variance-subnormal"])
     def test_numeric_edge_named_in_error(self, mids, lo, hi, match):
-        low = np.column_stack([mids, (1.0, 3.0, 2.0, 4.0)[:len(mids)]])
-        high = low.copy()
-        low[-1, 0], high[-1, 0] = lo, hi
-        t = IntervalMatrix(("r", "s", "t", "u")[:len(mids)], ("x", "y"), low, high)
+        # A table at a numeric edge is refused, naming the column, or (match
+        # None) answered once the column is scaled by a power of two.
+        t = _edge_table(mids, lo, hi)
+        if match is None:
+            _assert_answered(t)
+            return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match=match):
                 standardize(t)
             with pytest.raises(DataError, match=match):
                 pca_auto(t)
+
+    @pytest.mark.parametrize("mids", [
+        (0.0, 5e-324), (1e-320, 3e-320), (1.7e308, -1.7e308, 0.0),
+    ], ids=["least-subnormal", "subnormals", "sum-overflow"])
+    def test_column_out_of_range_answered(self, mids):
+        # The variance of x is zero or infinite, and at 1.7e308 so is lo + hi;
+        # scaled by 2**-e, e the exponent of its largest |midpoint|, x
+        # standardizes as any column does. test_overflowing_column_named_in_error
+        # and test_numeric_edge_named_in_error pin three more such tables.
+        _assert_answered(_edge_table(mids))
 
     @pytest.mark.parametrize("m, cols, lo, hi", [
         # The widths standardize to a finite 1.3e308; sqrt(9) times the radii
@@ -221,13 +251,14 @@ class TestStandardize:
     @pytest.mark.parametrize("m", [2, 3, 7, 1000])
     @pytest.mark.parametrize("value", [
         0.1, -1 / 3, 0.7, 123456.789, 5e-324, 1e-310, 2.2250738585072014e-308,
-        1e-160, 1e154, 1e300, 3e307, 8e307,
+        1e-160, 1e154, 1e300, 3e307, 8e307, 1.7e308,
     ])
     def test_constant_column_at_any_magnitude(self, value, m):
         # Summing m copies of a value can round, so the deviations of a
         # constant column need not be zero (0.1 at m = 3 gives std 1.4e-17);
         # their squares can overflow (1e300 at m = 7 gives an infinite std),
-        # and the sum itself can (8e307). Each is still called constant.
+        # and the sum itself can (8e307), or lo + hi (1.7e308). Each is still
+        # called constant.
         column = np.full(m, value)
         other = np.arange(m, dtype=float)
         t = IntervalMatrix(
@@ -352,6 +383,17 @@ class TestContainment:
         assert np.all(res.center_correlations <= res.correlations.hi)
 
 
+def _rescaled(table: IntervalMatrix) -> IntervalMatrix:
+    """``table`` with each column whose midpoint variance is zero or subnormal
+    multiplied by 2**-e, e the exponent of its largest |midpoint|: the exact
+    scaling standardize gives such a column (drawn tables cannot overflow)."""
+    mids = centers_matrix(table)
+    flagged = np.var(mids, axis=0) < np.finfo(float).tiny
+    e = np.where(flagged, np.frexp(np.abs(mids).max(axis=0))[1], 0)
+    return IntervalMatrix(table.rows, table.cols, np.ldexp(table.lo, -e),
+                          np.ldexp(table.hi, -e))
+
+
 def _two_pass_scale(table: IntervalMatrix) -> tuple[np.ndarray, np.ndarray]:
     """np.mean of the midpoints and the scale 1 / (sqrt(m)·np.std)."""
     mids = centers_matrix(table)
@@ -376,6 +418,7 @@ class TestStandardizeOnePass:
     def test_bits_match_two_pass_formula(self, table):
         # The bounds are the box the routes project, z ∓ (hi - lo)·(scale/2).
         bundle = standardize(table)
+        table = _rescaled(table)
         z = _standardize_two_pass(table)
         radius = (table.hi - table.lo) * (0.5 * _two_pass_scale(table)[1])
         assert np.array_equal(bundle.z, z)
@@ -398,10 +441,11 @@ class TestStandardizeOnePass:
 
 def _reference_pca(table: IntervalMatrix, route: str) -> dict[str, np.ndarray]:
     """Every PcaResult array by the plain formulas, one new array per step:
-    the two-pass z and scale, eigh of A·At (A = Z or Zt) sorted stably by
-    descending eigenvalue, the transport At·V / sqrt(lam), the sign rule on
+    the two-pass z and scale of the rescaled table, eigh of A·At (A = Z or
+    Zt) sorted stably by descending eigenvalue, the transport At·V / sqrt(lam), the sign rule on
     U, the centres U·sqrt(lam) and V·(sqrt(m)·sqrt(lam)), and the spreads
     c ± (sqrt(m)·r) @ |U| and c ± rt @ |V| with r = (hi - lo)·(scale/2)."""
+    table = _rescaled(table)
     z = _standardize_two_pass(table)
     a = z if route == "zzt" else z.T
     values, vectors = np.linalg.eigh(a @ a.T)
@@ -445,6 +489,73 @@ class TestBitIdentity:
                     got = getattr(got, part)
                 assert got.shape == want.shape, (route, name)
                 assert got.tobytes() == want.tobytes(), (route, name)
+
+
+def _column_times_power_of_two(table: IntervalMatrix, j: int, k: int) -> IntervalMatrix | None:
+    """``table`` with column j multiplied by 2**k, or None where that is not
+    exact: a bound or a midpoint of the column would round, or overflow."""
+    lo, hi = table.lo.copy(), table.hi.copy()
+    with np.errstate(over="ignore"):
+        lo[:, j], hi[:, j] = np.ldexp(lo[:, j], k), np.ldexp(hi[:, j], k)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            return None
+        scaled = IntervalMatrix(table.rows, table.cols, lo, hi)
+        pairs = ((scaled.lo, table.lo), (scaled.hi, table.hi),
+                 (centers_matrix(scaled), centers_matrix(table)))
+    exact = all(np.array_equal(np.ldexp(a[:, j], -k), b[:, j]) for a, b in pairs)
+    return scaled if exact else None
+
+
+@st.composite
+def _dyadic_column_tables(draw):
+    """Tables of 2, 4 or 8 rows whose column c0 has integer bounds of at most
+    17 bits times 2**p. Its midpoints, their mean, deviations and squared
+    deviations are then exact wherever c0 is standardized unscaled, and
+    the variance is exact or normal."""
+    m = draw(st.sampled_from((2, 4, 8)))
+    p = draw(st.integers(-1074, 1000))
+    ends = draw(st.lists(st.tuples(st.integers(-2**16, 2**16), st.integers(0, 2**16)),
+                         min_size=m, max_size=m))
+    other = draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m, unique=True))
+    lo = np.column_stack([np.ldexp([float(a) for a, _ in ends], p), other])
+    hi = np.column_stack([np.ldexp([float(a + w) for a, w in ends], p), other])
+    return IntervalMatrix(tuple(f"r{i}" for i in range(m)), ("c0", "c1"), lo, hi)
+
+
+class TestPowerOfTwoScaling:
+    # Multiplying a column by 2**k changes neither z nor the radii, and where
+    # the scaling is exact it changes no bit of any output: a column whose
+    # variance underflows or overflows is first brought to one scale by
+    # standardize, and any other column is standardized where its roundings
+    # scale with it. That last part needs exact intermediates: among
+    # arbitrary floats, a mean that rounds in the subnormal range (3.9e-313
+    # among midpoints near 0.03) moves z's last bits, so c0 is dyadic.
+    @settings(deadline=None, max_examples=300)
+    @given(_dyadic_column_tables(), st.integers(-2100, 2100))
+    @example(_edge_table((0.0, 5e-324)), 1074)
+    @example(_edge_table((1e-320, 3e-320)), 1000)
+    @example(_edge_table((0.0, 5e-301, 0.0, 0.0)), 900)
+    @example(_edge_table((1.0, 2.0, 4.0, 0.0)), 1020)
+    def test_every_array_keeps_its_bits(self, table, k):
+        scaled = _column_times_power_of_two(table, 0, k)
+        assume(scaled is not None)
+        outcomes = []
+        for t in (table, scaled):
+            try:
+                outcomes.append(pca_auto(t))
+            except DataError as exc:
+                outcomes.append(str(exc))
+        res, other = outcomes
+        if isinstance(res, str) or isinstance(other, str):
+            assert res == other
+            return
+        for name in ("eigenvalues", "loadings_u", "axes_v", "center_scores",
+                     "center_correlations", "scores.lo", "scores.hi",
+                     "correlations.lo", "correlations.hi"):
+            got, want = other, res
+            for part in name.split("."):
+                got, want = getattr(got, part), getattr(want, part)
+            assert got.tobytes() == want.tobytes(), name
 
 
 class TestPcaMemory:
@@ -678,7 +789,7 @@ class TestDegenerateReduction:
         assume(_gapped(res))
         q = res.eigenvalues.size
         # Classical PCA of the midpoint correlation matrix, via LAPACK.
-        mids = centers_matrix(table)
+        mids = centers_matrix(_rescaled(table))
         xs = (mids - mids.mean(axis=0)) / mids.std(axis=0)
         lam, u = np.linalg.eigh(xs.T @ xs / len(xs))
         order = np.argsort(lam)[::-1][:q]

@@ -43,7 +43,7 @@ class TestPlotSpec:
         with pytest.raises(DataError, match="1-based"):
             PlotSpec(axis_x=0, axis_y=1)
 
-    @pytest.mark.parametrize("axis_x", [1.5, "1"])
+    @pytest.mark.parametrize("axis_x", [1.5, "1", True])
     def test_non_integer_axis_rejected(self, axis_x):
         with pytest.raises(DataError) as info:
             PlotSpec(axis_x, 2)
