@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _finite_array
 
 __all__ = [
     "BoundsPair",
@@ -39,15 +39,6 @@ VERTEX_ENUM_LIMIT = 25
 _ENUM_CHUNK = 1 << 16
 
 
-def _as_bounds_array(a, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise DataError(f"{name} must be a 2-D array, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise DataError(f"{name} contains non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class BoundsPair:
     """Elementwise lower/upper bound matrices of identical shape."""
@@ -56,8 +47,8 @@ class BoundsPair:
     high: np.ndarray
 
     def __post_init__(self) -> None:
-        low = _as_bounds_array(self.low, "low")
-        high = _as_bounds_array(self.high, "high")
+        low = _finite_array(self.low, "low")
+        high = _finite_array(self.high, "high")
         if low.shape != high.shape:
             raise DataError(
                 f"bound shapes differ: {low.shape} vs {high.shape}"
@@ -85,11 +76,6 @@ def _check_labels(labels, axis: str) -> tuple[str, ...]:
     return out
 
 
-def _check_grid_finite(lo: np.ndarray, hi: np.ndarray) -> None:
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise DataError("interval grid contains non-finite entries")
-
-
 @dataclass(frozen=True, eq=False)
 class IntervalMatrix:
     """Labelled m x n grid of closed intervals.
@@ -106,14 +92,13 @@ class IntervalMatrix:
     def __post_init__(self) -> None:
         rows = _check_labels(self.rows, "row")
         cols = _check_labels(self.cols, "column")
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
+        lo = _finite_array(self.lo, "interval grid", ndim=None)
+        hi = _finite_array(self.hi, "interval grid", ndim=None)
         expected = (len(rows), len(cols))
         if lo.shape != expected or hi.shape != expected:
             raise DataError(
                 f"grid shape {lo.shape}/{hi.shape} does not match labels {expected}"
             )
-        _check_grid_finite(lo, hi)
         if np.any(lo > hi):
             i, j = np.argwhere(lo > hi)[0]
             raise DataError(
@@ -209,11 +194,7 @@ def interval_project(
     weights : array, shape (n, q)
     rows, cols : optional output labels; generated when omitted.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2:
-        raise DataError(f"weights must be 2-D, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise DataError("weights contain non-finite entries")
+    w = _finite_array(weights, "weights")
     m, n = bounds.shape
     if w.shape[0] != n:
         raise DataError(
@@ -239,7 +220,7 @@ def vertex_extremes(low, high, weight) -> tuple[float, float]:
     each vertex onto ``weight`` and returns the observed ``(min, max)``.
     """
     bounds = BoundsPair([low], [high])
-    w = np.asarray(weight, dtype=float).ravel()
+    w = _finite_array(weight, "weight", ndim=None).ravel()
     n = bounds.shape[1]
     if n != w.size:
         raise DataError(

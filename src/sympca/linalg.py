@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, _finite_array
 
 __all__ = [
     "EigenDecomposition",
@@ -60,11 +60,9 @@ def eigen_sym(a: np.ndarray) -> EigenDecomposition:
     above 1e-12 relative to the largest entry is a DataError; a LAPACK
     failure is a NumericError.
     """
-    mat = np.asarray(a, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    mat = _finite_array(a, "matrix")
+    if mat.shape[0] != mat.shape[1]:
         raise DataError(f"matrix must be square, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise DataError("matrix contains non-finite entries")
     scale = float(np.abs(mat).max()) if mat.size else 0.0
     asym = float(np.abs(mat - mat.T).max()) if mat.size else 0.0
     if asym > 1e-12 * scale:
@@ -97,15 +95,9 @@ def dual_transport(z: np.ndarray, vectors: np.ndarray, lam: np.ndarray) -> np.nd
     NumericError. ``z`` or ``vectors`` not 2-D, shapes that do not match, or
     a non-finite entry are a DataError.
     """
-    z = np.asarray(z, dtype=float)
-    vectors = np.asarray(vectors, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    for name, arr in (("z", z), ("vectors", vectors)):
-        if arr.ndim != 2:
-            raise DataError(f"{name} must be 2-D, got shape {arr.shape}")
-    for name, arr in (("z", z), ("vectors", vectors), ("lam", lam)):
-        if not np.all(np.isfinite(arr)):
-            raise DataError(f"{name} contains non-finite entries")
+    z = _finite_array(z, "z")
+    vectors = _finite_array(vectors, "vectors")
+    lam = _finite_array(lam, "lam", ndim=None)
     if vectors.shape[0] != z.shape[0]:
         raise DataError(
             f"vector length {vectors.shape[0]} does not match row count {z.shape[0]}"

@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _is_integer
 from .intervals import BoundsPair, IntervalMatrix, _default_labels, _spread
 from .linalg import EigenDecomposition, _eigh_descending, _transport
 
@@ -158,19 +158,23 @@ def _standardize(x: IntervalMatrix) -> tuple[np.ndarray, np.ndarray]:
         # times that, or rescaled, need the range test.
         constant = (stds <= (4 * m * _EPS) * np.abs(means)) | rescale
         if constant.any():
-            # lo + hi overflows only where halving each bound first is exact.
-            mids = centers_matrix(x)
-            mids = np.where(np.isinf(mids), x.lo * 0.5 + x.hi * 0.5, mids)
-            constant[constant] = np.ptp(mids[:, constant], axis=0) == 0.0
+            # lo + hi is exact where halving rounds a subnormal midpoint away;
+            # in a column where it overflows, lo/2 + hi/2 is exact instead.
+            sums = x.lo + x.hi
+            halved = np.isinf(sums).any(axis=0)
+            sums[:, halved] = x.lo[:, halved] * 0.5 + x.hi[:, halved] * 0.5
+            constant[constant] = np.ptp(sums[:, constant], axis=0) == 0.0
             _refuse_column(x, constant,
                            "is constant (zero variance); it cannot be standardized")
             # z and r do not change under a positive column scale, and 2**-e
             # is exact in the normal range (Higham, §2.1): each rescaled column
-            # is scaled by it, e the exponent of its largest |midpoint| (0
-            # elsewhere). A bound that overflows so lies over 2**1023 times
-            # that midpoint away: sqrt(m)·r overflows (and 2r when m <= 4).
+            # is scaled by it, e the exponent of its largest |midpoint|, read
+            # off a column of sums as one less than theirs (0 elsewhere). A
+            # bound that overflows so lies over 2**1023 times that midpoint
+            # away: sqrt(m)·r overflows (and 2r when m <= 4).
             if rescale.any():
-                e = np.where(rescale, np.frexp(np.abs(mids).max(axis=0))[1], 0)
+                e = np.frexp(np.abs(sums).max(axis=0))[1] - 1 + halved
+                e = np.where(rescale, e, 0)
                 lo, hi = np.ldexp(x.lo, -e), np.ldexp(x.hi, -e)
                 _refuse_column(x, ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=0),
                                _WIDTHS_OVERFLOW)
@@ -233,6 +237,8 @@ def _resolve_q(eig: EigenDecomposition, q: int | None) -> int:
         raise DataError("data has no positive-variance directions")
     if q is None:
         return rank
+    if not _is_integer(q):
+        raise DataError(f"q must be an integer, got {q!r}")
     if not 1 <= q <= rank:
         raise DataError(f"q={q} out of range: must be between 1 and rank {rank}")
     return q
@@ -343,6 +349,8 @@ def flip_component(result: PcaResult, k: int) -> PcaResult:
     Useful for aligning orientations before comparing against published
     values, which fix no eigenvector sign.
     """
+    if not _is_integer(k):
+        raise DataError(f"component index must be an integer, got {k!r}")
     if not 0 <= k < result.eigenvalues.size:
         raise DataError(f"component index {k} out of range")
 

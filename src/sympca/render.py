@@ -25,11 +25,10 @@ produces byte-identical SVG.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _is_integer
 from .intervals import IntervalMatrix
 
 __all__ = ["PlotSpec", "render_circle", "render_plane", "PALETTE"]
@@ -60,9 +59,7 @@ class PlotSpec:
     title: str = ""
 
     def __post_init__(self) -> None:
-        # bool is an Integral, but True is no component index.
-        if not all(isinstance(a, Integral) and not isinstance(a, bool)
-                   for a in (self.axis_x, self.axis_y)):
+        if not (_is_integer(self.axis_x) and _is_integer(self.axis_y)):
             raise DataError(
                 f"component indices must be integers, got "
                 f"({self.axis_x!r}, {self.axis_y!r})"

@@ -26,8 +26,8 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequ
 
 import numpy as np
 
-from .errors import DataError
-from .intervals import IntervalMatrix
+from .errors import DataError, _finite_array
+from .intervals import IntervalMatrix, _check_labels
 
 __all__ = [
     "ClassicTable",
@@ -390,16 +390,12 @@ def _interval_layout(header: list[str]) -> _Layout:
             lambda record: zip(names, record[1:]),
             _check_bracket_cell,
         )
-    bases: list[str] = []
+    _check_labels(names, "column")
     slots: dict[str, dict[str, int]] = {}
     for j, name in enumerate(names):
         base, side = _PAIR_RE.match(name).groups()
-        if base not in slots:
-            bases.append(base)
-            slots[base] = {}
-        if side in slots[base]:
-            raise DataError(f"duplicate column label: {name!r}")
-        slots[base][side] = j
+        slots.setdefault(base, {})[side] = j
+    bases = list(slots)
     for base in bases:
         if set(slots[base]) != {"lo", "hi"}:
             raise DataError(f"incomplete bound pair for column {base!r}")
@@ -493,14 +489,12 @@ class ClassicTable:
     concept_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = _finite_array(self.values, "classic table", ndim=None)
         expected = (len(self.rows), len(self.cols))
         if values.shape != expected:
             raise DataError(
                 f"value grid shape {values.shape} does not match labels {expected}"
             )
-        if not np.all(np.isfinite(values)):
-            raise DataError("classic table contains non-finite cells")
         if self.concept is not None and len(self.concept_labels) != len(self.rows):
             raise DataError("concept labels must cover every row")
         object.__setattr__(self, "rows", tuple(str(r) for r in self.rows))
@@ -532,8 +526,7 @@ def parse_classic_csv(
 
 def _classic_layout(header: list[str], concept: str | None, exclude: set[str]) -> _Layout:
     names = _header_names(header)
-    if len(set(names)) != len(names):
-        raise DataError("duplicate column label in classic table header")
+    _check_labels(names, "column")
     if concept is not None and concept not in names:
         raise DataError(f"concept column {concept!r} not found")
     unknown = (exclude - set(names)) | (exclude & {concept})

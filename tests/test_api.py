@@ -129,3 +129,62 @@ def test_bench_medians_match_statistics(zzt, ztz):
     assert type(report.median_zzt) is float and type(report.median_ztz) is float
     assert report.median_zzt == statistics.median(zzt)
     assert report.median_ztz == statistics.median(ztz)
+
+
+def _entry_points():
+    """Each public array or index argument: a valid value, and a call taking
+    the argument in that place, with the argument's name as id."""
+    two = np.array([[2.0, 1.0], [1.0, 2.0]])
+    pair = sympca.BoundsPair(two - 1.0, two)
+    labels = (("a", "b"), ("x", "y"))
+    oils = sympca.load_oils_table()
+    result = sympca.pca_auto(oils)
+    low, high, weight = np.zeros(2), np.ones(2), np.ones(2)
+    return [pytest.param(good, call, id=name) for name, good, call in [
+        ("BoundsPair-low", two - 1.0, lambda a: sympca.BoundsPair(a, two)),
+        ("BoundsPair-high", two, lambda a: sympca.BoundsPair(two - 1.0, a)),
+        ("IntervalMatrix-lo", two - 1.0, lambda a: sympca.IntervalMatrix(*labels, a, two)),
+        ("IntervalMatrix-hi", two, lambda a: sympca.IntervalMatrix(*labels, two - 1.0, a)),
+        ("ClassicTable-values", two, lambda a: sympca.ClassicTable(*labels, a)),
+        ("interval_project-weights", two, lambda a: sympca.interval_project(pair, a)),
+        ("vertex_extremes-low", low, lambda a: sympca.vertex_extremes(a, high, weight)),
+        ("vertex_extremes-high", high, lambda a: sympca.vertex_extremes(low, a, weight)),
+        ("vertex_extremes-weight", weight, lambda a: sympca.vertex_extremes(low, high, a)),
+        ("eigen_sym", two, sympca.eigen_sym),
+        ("dual_transport-z", np.eye(2), lambda a: sympca.dual_transport(a, np.eye(2), weight)),
+        ("dual_transport-vectors", np.eye(2),
+         lambda a: sympca.dual_transport(np.eye(2), a, weight)),
+        ("dual_transport-lam", weight, lambda a: sympca.dual_transport(np.eye(2), np.eye(2), a)),
+        ("PlotSpec-axis_x", 1, lambda k: sympca.PlotSpec(k, 2)),
+        ("PlotSpec-axis_y", 2, lambda k: sympca.PlotSpec(1, k)),
+        ("flip_component", 0, lambda k: sympca.flip_component(result, k)),
+        ("pca_zzt-q", 2, lambda q: sympca.pca_zzt(oils, q)),
+        ("pca_ztz-q", 2, lambda q: sympca.pca_ztz(oils, q)),
+        ("pca_auto-q", 2, lambda q: sympca.pca_auto(oils, q)),
+    ]]
+
+
+def _spoiled(good, kind):
+    """``good`` with a NaN or inf entry, or of the wrong rank; True and 1.5
+    are passed as they are."""
+    if kind not in ("nan", "inf", "rank"):
+        return kind
+    if np.ndim(good) == 0:  # an index
+        return [good] if kind == "rank" else float(kind)
+    good = np.asarray(good, dtype=float)
+    if kind == "rank":
+        return good.ravel() if good.ndim == 2 else good[0]
+    bad = good.copy()
+    bad.flat[0] = float(kind)
+    return bad
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "rank", True, 1.5])
+@pytest.mark.parametrize("good, call", _entry_points())
+def test_entry_point_refuses_bad_argument(good, call, kind):
+    # Every public array is checked for rank and finiteness, every index for
+    # being an integer; each refusal is a DataError, never garbage or a
+    # numpy error.
+    call(good)
+    with pytest.raises(sympca.DataError):
+        call(_spoiled(good, kind))

@@ -42,7 +42,7 @@ class TestBoundsPair:
     def test_one_dimensional_bounds_rejected(self):
         with pytest.raises(DataError) as info:
             BoundsPair([0.0], [1.0])
-        assert str(info.value) == "low must be a 2-D array, got shape (1,)"
+        assert str(info.value) == "low must be 2-D, got shape (1,)"
 
 
 class TestIntervalMatrix:
@@ -89,10 +89,19 @@ class TestIntervalMatrix:
                     DataError, match="interval grid contains non-finite entries"):
                 _spread(centre, np.array(radius), np.array(weights), ("a",), ("x", "y"))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        for lo, hi in (([[bad]], [[1.0]]), ([[0.0]], [[bad]])):
+            with pytest.raises(DataError) as info:
+                IntervalMatrix(("a",), ("x",), lo, hi)
+            assert str(info.value) == "interval grid contains non-finite entries"
+
     def test_equality(self):
         args = (("a",), ("x",), [[0.0]], [[1.0]])
         assert IntervalMatrix(*args) == IntervalMatrix(*args)
         assert IntervalMatrix(*args) != IntervalMatrix(("b",), ("x",), [[0.0]], [[1.0]])
+        # Another type is not equal: __eq__ returns NotImplemented for it.
+        assert (IntervalMatrix(*args) == 1) is False
 
 
 def _random_bounds(rng, m, n) -> BoundsPair:
@@ -213,7 +222,7 @@ class TestIntervalProject:
 
     @pytest.mark.parametrize("weights, message", [
         ([1.0], "weights must be 2-D, got shape (1,)"),
-        ([[1.0], [np.nan]], "weights contain non-finite entries"),
+        ([[1.0], [np.nan]], "weights contains non-finite entries"),
     ])
     def test_bad_weights_rejected(self, weights, message):
         bounds = _random_bounds(np.random.default_rng(0), 3, 2)

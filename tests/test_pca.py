@@ -156,8 +156,11 @@ class TestStandardize:
         # The variance, 1.2e-321, is subnormal: unscaled, z's column had norm
         # 1.00102 and pca_auto an eigenvalue of 2.00204 for a trace of 2.
         ((0.0, -6.8218e-161), -6.8218e-161, -6.8218e-161, None),
+        # The midpoint of [0, 5e-324], 2**-1075, rounds to 0, but x is not
+        # constant: the range test and the exponent read lo + hi.
+        ((0.0, 0.0, 0.0), 0.0, 5e-324, None),
     ], ids=["bounds-overflow", "variance-underflow", "width-overflow",
-            "variance-subnormal"])
+            "variance-subnormal", "midpoint-rounds-to-zero"])
     def test_numeric_edge_named_in_error(self, mids, lo, hi, match):
         # A table at a numeric edge is refused, naming the column, or (match
         # None) answered once the column is scaled by a power of two.
@@ -533,6 +536,8 @@ class TestPowerOfTwoScaling:
     @settings(deadline=None, max_examples=300)
     @given(_dyadic_column_tables(), st.integers(-2100, 2100))
     @example(_edge_table((0.0, 5e-324)), 1074)
+    # The midpoint 2**-1075 of [0, 5e-324] rounds to 0; scaled, it is 0.5.
+    @example(_edge_table((0.0, 0.0, 0.0), 0.0, 5e-324), 1074)
     @example(_edge_table((1e-320, 3e-320)), 1000)
     @example(_edge_table((0.0, 5e-301, 0.0, 0.0)), 900)
     @example(_edge_table((1.0, 2.0, 4.0, 0.0)), 1020)

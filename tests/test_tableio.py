@@ -189,7 +189,7 @@ class TestParseClassicCsv:
 class TestClassicTable:
     @pytest.mark.parametrize("values, concept, message", [
         ([[1.0, 2.0]], None, "value grid shape (1, 2) does not match labels (1, 1)"),
-        ([[np.inf]], None, "classic table contains non-finite cells"),
+        ([[np.inf]], None, "classic table contains non-finite entries"),
         ([[1.0]], "s", "concept labels must cover every row"),
     ])
     def test_direct_construction_checked(self, values, concept, message):
@@ -615,8 +615,9 @@ def _reference_classic(text: str, concept: str | None, exclude=()):
     names = header[1:]
     if not names:
         return "header must name at least one data column"
-    if len(set(names)) != len(names):
-        return "duplicate column label in classic table header"
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            return f"duplicate column label: {name!r}"
     if concept is not None and concept not in names:
         return f"concept column {concept!r} not found"
     for name in sorted(exclude):
