@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError, _is_integer
 from .intervals import IntervalMatrix
 from .pca import pca_auto, pca_zzt, pca_ztz
 
@@ -53,6 +54,9 @@ class BenchReport:
 def benchmark_paths(m: int, n: int, trials: int = 5) -> BenchReport:
     """Wall-clock both analysis paths on fresh tables per trial, drawn from
     one generator seeded with ``DEFAULT_SEED``."""
+    for name, value in (("m", m), ("n", n), ("trials", trials)):
+        if not _is_integer(value):
+            raise DataError(f"{name} must be an integer, got {value!r}")
     if m < 2 or n < 1 or trials < 1:
         raise ValueError("need m >= 2, n >= 1, trials >= 1")
     rng = np.random.default_rng(DEFAULT_SEED)

@@ -5,7 +5,8 @@ scientific notation accepted). A second read-only layout with paired columns
 ``name.lo`` / ``name.hi`` is recognized for spreadsheet interoperability.
 Files are UTF-8; LF and CRLF inputs are both accepted, output uses LF.
 Both CSV forms are read by one ``str.split`` tokeniser in row blocks, as
-long as it reads them as ``csv.reader`` would; other text goes to the reader.
+long as it reads them as ``csv.reader`` would; other text goes to the reader,
+whose bracket cells are read by ``_CELL_RE``, as in the error walk.
 A job of two or more row blocks, read or written, is shared with one forked
 helper process where that is safe (see ``_in_two``).
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from types import SimpleNamespace
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -37,8 +38,9 @@ __all__ = [
     "aggregate_classic",
 ]
 
-# The bracket grammar. On the csv.reader path ``_bracket_texts`` splits the
-# cells in bulk; this pattern only words the error once a table is rejected.
+# The bracket grammar: the one reader of a cell on the csv.reader path and in
+# the error walk. Its ``\s`` is ``str.isspace()``; ``float()`` alone does not
+# strip all of it (``"\x1c"``), so only this reads a bound padded with it.
 _CELL_RE = re.compile(r"^\s*\[\s*([^,\[\]\s]+)\s*,\s*([^,\[\]\s]+)\s*\]\s*$")
 _PAIR_RE = re.compile(r"^(.+)\.(lo|hi)$")
 
@@ -120,32 +122,20 @@ def _parse_number(text: str, where: str) -> float:
     return value
 
 
-def _check_bounds(texts: tuple[str, str], where: str) -> None:
-    if _parse_number(texts[0], where) > _parse_number(texts[1], where):
-        raise DataError(f"lower bound exceeds upper bound at {where}")
-
-
-def _check_bracket_cell(cell: str, where: str) -> None:
-    match = _CELL_RE.match(cell)
-    if match is None:
-        raise DataError(f"malformed interval cell {cell!r} at {where}")
-    _check_bounds(match.groups(), where)
-
-
 class _Layout(NamedTuple):
     """What a header says about the body of a table.
 
     ``convert`` turns the labels and the row-major field texts of some
     records into a tuple of lists and arrays (one row per record), or None
-    to reject them; ``cells`` and ``check`` word the first error once a
-    table is rejected (see ``_raise_first_error``).
+    to reject them. ``fields`` maps each checked column to the indexes of
+    its fields in a record, one for a cell, lo and hi for a paired column;
+    the error walk reads them (see ``_raise_first_error``).
     """
 
     cols: tuple[str, ...]  # the output's column names
     bracketed: bool  # a field is a [lo,hi] cell, converted as two texts
     convert: Callable[[Sequence[str], list[str]], tuple | None]
-    cells: Callable[[list[str]], Iterable[tuple[str, Any]]]
-    check: Callable[[Any, str], object]
+    fields: list[tuple[str, tuple[int, ...]]]
 
 
 def _read_records(text: str) -> list[list[str]]:
@@ -299,7 +289,8 @@ def _read_table(
         if all(len(record) == len(header) for record in body):
             texts = list(chain.from_iterable(record[1:] for record in body))
             if layout.bracketed:
-                texts = _bracket_texts(texts)
+                cells = list(map(_CELL_RE.match, texts))
+                texts = None if None in cells else [t for c in cells for t in c.groups()]
             if texts is not None:
                 part = layout.convert([record[0] for record in body], texts)
         if part is None:
@@ -346,8 +337,9 @@ def _interval_rows(
 
 def _raise_first_error(width: int, body: list[list[str]], layout: _Layout) -> NoReturn:
     """Walk the body records in order and raise the first error: a ragged
-    row, else the first of its ``(column, cell)`` pairs that the layout's
-    check rejects.
+    row, else the first of its columns (``layout.fields``) whose cell is not
+    a bracket cell, whose number is malformed or not finite, or whose lower
+    bound exceeds its upper one.
 
     Runs only after the bulk pass has rejected the table, so that the
     message names the same cell, in the same words, as a cell-by-cell parse.
@@ -358,8 +350,17 @@ def _raise_first_error(width: int, body: list[list[str]], layout: _Layout) -> No
                 f"ragged row {record[0]!r}: expected {width} fields, "
                 f"got {len(record)}"
             )
-        for column, cell in layout.cells(record):
-            layout.check(cell, f"(row {record[0]!r}, column {column!r})")
+        for column, indexes in layout.fields:
+            where = f"(row {record[0]!r}, column {column!r})"
+            texts = [record[i] for i in indexes]
+            if layout.bracketed:
+                match = _CELL_RE.match(texts[0])
+                if match is None:
+                    raise DataError(f"malformed interval cell {texts[0]!r} at {where}")
+                texts = match.groups()
+            values = [_parse_number(text, where) for text in texts]
+            if values[0] > values[-1]:
+                raise DataError(f"lower bound exceeds upper bound at {where}")
     raise AssertionError("bulk parse rejected a table every cell check accepts")
 
 
@@ -387,8 +388,7 @@ def _interval_layout(header: list[str]) -> _Layout:
             tuple(names),
             True,
             partial(_interval_rows, lo_idx=range(0, per_row, 2), hi_idx=range(1, per_row, 2)),
-            lambda record: zip(names, record[1:]),
-            _check_bracket_cell,
+            [(name, (1 + j,)) for j, name in enumerate(names)],
         )
     _check_labels(names, "column")
     slots: dict[str, dict[str, int]] = {}
@@ -405,33 +405,8 @@ def _interval_layout(header: list[str]) -> _Layout:
         tuple(bases),
         False,
         partial(_interval_rows, lo_idx=lo_idx, hi_idx=hi_idx),
-        lambda record: (
-            (base, (record[1 + a], record[1 + b]))
-            for base, a, b in zip(bases, lo_idx, hi_idx)
-        ),
-        _check_bounds,
+        [(base, (1 + a, 1 + b)) for base, a, b in zip(bases, lo_idx, hi_idx)],
     )
-
-
-def _bracket_texts(cells: Iterable[str]) -> list[str] | None:
-    """Split ``[lo,hi]`` cells into their bound texts, two per cell; None
-    when a cell is not bracketed or holds no comma.
-
-    Runs on the ``csv.reader`` path only. It accepts every cell ``_CELL_RE``
-    does, and more: a bound text holding a comma, a bracket or inner
-    whitespace, which ``float()`` then rejects. ``str.strip()`` removes the
-    grammar's ``\\s`` whitespace; ``float()`` alone would leave some of it
-    (``"\\x1c"``), so a bound padded with it is read on this path only.
-    """
-    texts: list[str] = []
-    add = texts.append
-    for cell in cells:
-        head, _, tail = cell.strip().partition(",")
-        if head[:1] != "[" or tail[-1:] != "]":  # no comma: the tail is ""
-            return None
-        add(head[1:].strip())
-        add(tail[:-1].strip())
-    return texts
 
 
 def write_interval_csv(table: IntervalMatrix) -> str:
@@ -545,8 +520,7 @@ def _classic_layout(header: list[str], concept: str | None, exclude: set[str]) -
             concept_idx=None if concept is None else names.index(concept),
             gone=gone[::-1],
         ),
-        lambda record: ((names[j], record[1 + j]) for j in data_idx),
-        _parse_number,
+        [(names[j], (1 + j,)) for j in data_idx],
     )
 
 

@@ -132,7 +132,7 @@ def test_bench_medians_match_statistics(zzt, ztz):
 
 
 def _entry_points():
-    """Each public array or index argument: a valid value, and a call taking
+    """Each public array or integer argument: a valid value, and a call taking
     the argument in that place, with the argument's name as id."""
     two = np.array([[2.0, 1.0], [1.0, 2.0]])
     pair = sympca.BoundsPair(two - 1.0, two)
@@ -161,6 +161,9 @@ def _entry_points():
         ("pca_zzt-q", 2, lambda q: sympca.pca_zzt(oils, q)),
         ("pca_ztz-q", 2, lambda q: sympca.pca_ztz(oils, q)),
         ("pca_auto-q", 2, lambda q: sympca.pca_auto(oils, q)),
+        ("benchmark_paths-m", 3, lambda m: sympca.benchmark_paths(m, 2, 1)),
+        ("benchmark_paths-n", 2, lambda n: sympca.benchmark_paths(3, n, 1)),
+        ("benchmark_paths-trials", 1, lambda t: sympca.benchmark_paths(3, 2, t)),
     ]]
 
 

@@ -8,6 +8,7 @@ import os
 import pickle
 import re
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -371,6 +372,10 @@ INTERVAL_ERRORS = [
      "malformed number 'bad' at (row 'r1', column 'y')"),
     (",x.lo,x.hi,y.lo,y.hi\nr1,0,1,2,1e999\n",
      "non-finite number '1e999' at (row 'r1', column 'y')"),
+    # A plain cell may not be padded with \x1c-\x1f, which float() keeps,
+    # on either path: a bracket bound may (see TestValidEdgeInputs).
+    (",x.lo,x.hi\nr,\x1c1,2\n", "malformed number '\\x1c1' at (row 'r', column 'x')"),
+    (',x.lo,x.hi\n"r",\x1c1,2\n', "malformed number '\\x1c1' at (row 'r', column 'x')"),
 ]
 
 CLASSIC_ERRORS = [
@@ -385,6 +390,8 @@ CLASSIC_ERRORS = [
     (",a,b\nr1,1\nr2,1,bad\n", None, "ragged row 'r1': expected 3 fields, got 2"),
     (",a,b\nr1,1,2\nr2,1,2,3\n", None, "ragged row 'r2': expected 3 fields, got 4"),
     (",state\nr1,a\n", "state", "no data column left: every column is the concept or excluded"),
+    (",a\nr,\x1c1\n", None, "malformed number '\\x1c1' at (row 'r', column 'a')"),
+    (',a\n"r",\x1c1\n', None, "malformed number '\\x1c1' at (row 'r', column 'a')"),
 ]
 
 
@@ -421,6 +428,19 @@ class TestValidEdgeInputs:
         t = parse_interval_csv(text)
         assert t.rows == ("r",) and t.cols == ("a",)
         assert (t.lo[0, 0], t.hi[0, 0]) == (1000.0, 2000.0)
+
+    def test_every_whitespace_character(self):
+        # The grammar's \s is str.isspace() on every code point, and any of it
+        # may pad a bracket cell and its bounds. A quoted label sends the text
+        # to csv.reader.
+        space = re.compile(r"\s").fullmatch
+        codes = range(sys.maxunicode + 1)
+        assert [i for i in codes if bool(space(chr(i))) != chr(i).isspace()] == []
+        for c in (chr(i) for i in codes if chr(i).isspace()):
+            for cell in (f"[{c}1{c},{c}2{c}]", f"{c}[{c}1{c},{c}2{c}]{c}"):
+                for label in ("r", '"r"'):
+                    t = parse_interval_csv(f',a\n{label},"{cell}"\n')
+                    assert (t.lo[0, 0], t.hi[0, 0]) == (1.0, 2.0), (c, cell, label)
 
     def test_interval_labels(self):
         text = ',"a,b","say ""x""",油\n"r,1","[1,2]","[3,4]","[5,6]"\nÖl,"[0,0]","[0,0]","[0,0]"\n'
