@@ -169,16 +169,18 @@ def _standardize(x: IntervalMatrix) -> tuple[np.ndarray, np.ndarray]:
             # z and r do not change under a positive column scale, and 2**-e
             # is exact in the normal range (Higham, §2.1): each rescaled column
             # is scaled by it, e the exponent of its largest |midpoint|, read
-            # off a column of sums as one less than theirs (0 elsewhere). A
-            # bound that overflows so lies over 2**1023 times that midpoint
-            # away: sqrt(m)·r overflows (and 2r when m <= 4).
+            # off a column of sums as one less than theirs (0 elsewhere), but
+            # no less than that of its largest |bound| minus 1024, so every
+            # scaled bound is finite. A column still flagged at e = 0 has a
+            # bound past 2**1023, midpoints below 1/2 and std below 2**-511:
+            # its 2r overflows.
             if rescale.any():
                 e = np.frexp(np.abs(sums).max(axis=0))[1] - 1 + halved
-                e = np.where(rescale, e, 0)
-                lo, hi = np.ldexp(x.lo, -e), np.ldexp(x.hi, -e)
-                _refuse_column(x, ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=0),
-                               _WIDTHS_OVERFLOW)
-                return _standardize(IntervalMatrix._derived(x.rows, x.cols, lo, hi))
+                bound = np.maximum(np.abs(x.lo).max(axis=0), np.abs(x.hi).max(axis=0))
+                e = np.where(rescale, np.maximum(e, np.frexp(bound)[1] - 1024), 0)
+                _refuse_column(x, rescale & (e == 0), _WIDTHS_OVERFLOW)
+                return _standardize(IntervalMatrix._derived(
+                    x.rows, x.cols, np.ldexp(x.lo, -e), np.ldexp(x.hi, -e)))
         scale = 1.0 / (math.sqrt(m) * stds)
         z *= scale
         # The radii straight from the widths, rounded twice; the difference of
@@ -207,7 +209,8 @@ def standardize(x: IntervalMatrix) -> StandardizedBundle:
 
     A column whose midpoint variance is not finite or below the smallest
     normal float is first multiplied by 2**-e, e the exponent of its largest
-    |midpoint|; z and r are then those of the table so scaled, bit for bit.
+    |midpoint|, raised where needed so that every scaled bound is finite; z
+    and r are then those of the table so scaled, bit for bit.
     Raises DataError when m < 2, or when a midpoint column is constant or
     its standardized widths 2r (and so the box z ∓ r) overflow.
     """

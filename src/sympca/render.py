@@ -5,7 +5,8 @@ one axis-aligned rectangle per variable spanning its correlation intervals
 on the two chosen components. ``render_plane`` draws the symbolic principal
 plane: one rectangle per object spanning its score intervals. Each maps its
 intervals to whole-array coordinates and hands them to one figure body,
-which writes the axes, their names and the labelled rectangles.
+the only writer of SVG text: the axes, their names and the labelled
+rectangles.
 
 Geometry contract (documented so output can be inverted exactly):
 
@@ -13,18 +14,27 @@ Geometry contract (documented so output can be inverted exactly):
 * circle: center (300, 300), radius 0.42 * 600 = 252;
   a correlation point (cx, cy) maps to
   ``svg_x = center_x + radius * cx``, ``svg_y = center_y - radius * cy``.
-* plane: the score bounding box, padded by 5% of its span per axis, maps
-  affinely onto the full viewport (y inverted, SVG grows downward).
+* plane: each axis maps its scores times ``2**-k``, ``k = max(0, e - 1000)``
+  and ``e`` the binary exponent of that axis's largest |bound| (so k = 0
+  for scores below 2**1000). The scaled score bounding box, padded by 5% of
+  its span per axis, maps affinely onto the full viewport (y inverted, SVG
+  grows downward), and every coordinate is finite.
 
 Coordinates are emitted at full float precision, so mapping rectangle
-corners back through the inverse affine transform reproduces the input
-intervals to machine accuracy. Output is deterministic: identical input
-produces byte-identical SVG.
+corners back through the inverse affine transform, then multiplying by
+``2**k`` (exact), reproduces the input intervals to machine accuracy.
+Output is deterministic: identical input produces byte-identical SVG.
+A title, axis name or row label holding a character outside XML 1.0's
+``Char`` (a C0 control other than tab, LF and CR; U+FFFE, U+FFFF; a lone
+surrogate) raises DataError.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
@@ -45,6 +55,9 @@ PALETTE = (
 )
 
 _FONT = 'font-family="sans-serif" font-size="12"'
+_AXIS = 'stroke="#999999" stroke-width="1"'
+# One character outside XML 1.0's Char production.
+_NOT_XML_CHAR = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 @dataclass(frozen=True)
@@ -70,10 +83,6 @@ class PlotSpec:
             raise DataError("component indices are 1-based and positive")
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _axis_columns(table: IntervalMatrix, spec: PlotSpec) -> tuple[int, int]:
     q = len(table.cols)
     if spec.axis_x > q or spec.axis_y > q:
@@ -84,31 +93,10 @@ def _axis_columns(table: IntervalMatrix, spec: PlotSpec) -> tuple[int, int]:
     return spec.axis_x - 1, spec.axis_y - 1
 
 
-def _rect(x: float, y: float, w: float, h: float, color: str) -> str:
-    return (
-        f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
-        f'height="{_fmt(h)}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-    )
-
-
-def _line(x1: float, y1: float, x2: float, y2: float) -> str:
-    return (
-        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" '
-        f'y2="{_fmt(y2)}" stroke="#999999" stroke-width="1"/>'
-    )
-
-
 def _escape(text: str) -> str:
     """XML-escape ``&``, ``>`` and ``<``, as ``xml.sax.saxutils.escape`` does
     with no extra entities (importing that module loads the network stack)."""
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
-
-
-def _text(x: float, y: float, anchor: str, content: str, color: str) -> str:
-    return (
-        f'<text x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}" '
-        f'{_FONT} fill="{color}">{_escape(content)}</text>'
-    )
 
 
 def _figure(spec: PlotSpec, origin: tuple[float, float], names: tuple[str, str],
@@ -117,8 +105,18 @@ def _figure(spec: PlotSpec, origin: tuple[float, float], names: tuple[str, str],
     """The one figure body of both plots: header and title, axis lines
     crossing at ``origin``, ``extra`` elements, the axis ``names``, then one
     palette-coloured rectangle per row from the arrays ``rects`` (x, y, width,
-    height), labelled at ``marks`` (x, y) with text anchor ``anchor``."""
+    height), labelled at ``marks`` (x, y) with text anchor ``anchor``.
+
+    Numbers are written by ``repr`` of Python floats, so ``origin`` must hold
+    Python floats."""
+    texts = (spec.title, *names, *rows)
+    if _NOT_XML_CHAR.search("".join(texts)):
+        bad = next(t for t in texts if _NOT_XML_CHAR.search(t))
+        raise DataError(
+            f"cannot write {bad!r} to SVG: it holds a character XML 1.0 does not allow"
+        )
     ox, oy = origin
+    size = float(VIEWPORT_SIZE)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -127,20 +125,28 @@ def _figure(spec: PlotSpec, origin: tuple[float, float], names: tuple[str, str],
     ]
     if spec.title:
         parts.append(
-            f'<text x="{_fmt(VIEWPORT_SIZE / 2)}" y="16" text-anchor="middle" '
+            f'<text x="{size / 2!r}" y="16" text-anchor="middle" '
             f'{_FONT}>{_escape(spec.title)}</text>'
         )
-    parts.append(_line(0.0, oy, float(VIEWPORT_SIZE), oy))
-    parts.append(_line(ox, 0.0, ox, float(VIEWPORT_SIZE)))
+    parts.append(
+        f'<line x1="0.0" y1="{oy!r}" x2="{size!r}" y2="{oy!r}" {_AXIS}/>\n'
+        f'<line x1="{ox!r}" y1="0.0" x2="{ox!r}" y2="{size!r}" {_AXIS}/>'
+    )
     parts.extend(extra)
-    parts.append(_text(float(VIEWPORT_SIZE) - 4.0, oy - 6.0, "end", names[0], "#444444"))
-    parts.append(_text(ox + 6.0, 14.0, "start", names[1], "#444444"))
-    rects = zip(*(a.tolist() for a in rects))
-    marks = zip(*(a.tolist() for a in marks))
-    for i, (name, rect, mark) in enumerate(zip(rows, rects, marks)):
-        color = PALETTE[i % len(PALETTE)]
-        parts.append(_rect(*rect, color))
-        parts.append(_text(*mark, anchor, name, color))
+    parts.append(
+        f'<text x="{size - 4.0!r}" y="{oy - 6.0!r}" text-anchor="end" {_FONT} '
+        f'fill="#444444">{_escape(names[0])}</text>\n'
+        f'<text x="{ox + 6.0!r}" y="14.0" text-anchor="start" {_FONT} '
+        f'fill="#444444">{_escape(names[1])}</text>'
+    )
+    parts.extend(
+        f'<rect x="{x!r}" y="{y!r}" width="{w!r}" height="{h!r}" fill="none" '
+        f'stroke="{color}" stroke-width="1.5"/>\n'
+        f'<text x="{tx!r}" y="{ty!r}" text-anchor="{anchor}" {_FONT} '
+        f'fill="{color}">{_escape(name)}</text>'
+        for name, color, (x, y, w, h, tx, ty) in zip(
+            rows, cycle(PALETTE), np.column_stack((*rects, *marks)).tolist())
+    )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -160,7 +166,7 @@ def render_circle(correlations: IntervalMatrix, spec: PlotSpec) -> str:
     x_lo, x_hi = correlations.lo[:, jx], correlations.hi[:, jx]
     y_lo, y_hi = correlations.lo[:, jy], correlations.hi[:, jy]
     circle = (
-        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius)}" '
+        f'<circle cx="{cx!r}" cy="{cy!r}" r="{radius!r}" '
         f'fill="none" stroke="#444444" stroke-width="1"/>'
     )
     rects = (cx + radius * x_lo, cy - radius * y_hi,
@@ -171,19 +177,29 @@ def render_circle(correlations: IntervalMatrix, spec: PlotSpec) -> str:
                    [circle], correlations.rows, rects, marks, "middle")
 
 
+def _plane_axis(scores: IntervalMatrix, j: int):
+    """Column j's score bounds times 2**-k, and the padded range that maps
+    onto the viewport: the bounding box plus 5% of its span on each side.
+    k = max(0, e - 1000), e the exponent of the largest |bound|, so 600 times
+    the span stays finite; 2**-k is exact in the normal range, and k = 0
+    below 2**1000."""
+    lo, hi = scores.lo[:, j], scores.hi[:, j]
+    k = max(0, math.frexp(max(-lo.min(), hi.max()))[1] - 1000)
+    lo, hi = np.ldexp(lo, -k), np.ldexp(hi, -k)
+    v_min, v_max = float(lo.min()), float(hi.max())
+    # A degenerate span would collapse the affine map; give it unit room.
+    pad = PLANE_PADDING_FRACTION * (v_max - v_min) if v_max > v_min else 0.5
+    return lo, hi, v_min - pad, v_max + pad
+
+
 def render_plane(scores: IntervalMatrix, spec: PlotSpec) -> str:
     """Render objects as rectangles over their score intervals on two
     components; the data box is padded 5% per axis, axes cross at zero."""
     jx, jy = _axis_columns(scores, spec)
     if len(scores.rows) == 0:
         raise DataError("cannot render an empty table")
-    x_min, x_max = float(scores.lo[:, jx].min()), float(scores.hi[:, jx].max())
-    y_min, y_max = float(scores.lo[:, jy].min()), float(scores.hi[:, jy].max())
-    # A degenerate span would collapse the affine map; give it unit room.
-    x_pad = PLANE_PADDING_FRACTION * (x_max - x_min) if x_max > x_min else 0.5
-    y_pad = PLANE_PADDING_FRACTION * (y_max - y_min) if y_max > y_min else 0.5
-    x0, x1 = x_min - x_pad, x_max + x_pad
-    y0, y1 = y_min - y_pad, y_max + y_pad
+    x_lo, x_hi, x0, x1 = _plane_axis(scores, jx)
+    y_lo, y_hi, y0, y1 = _plane_axis(scores, jy)
 
     def sx(value: float) -> float:
         return (value - x0) * VIEWPORT_SIZE / (x1 - x0)
@@ -191,8 +207,6 @@ def render_plane(scores: IntervalMatrix, spec: PlotSpec) -> str:
     def sy(value: float) -> float:
         return (y1 - value) * VIEWPORT_SIZE / (y1 - y0)
 
-    x_lo, x_hi = scores.lo[:, jx], scores.hi[:, jx]
-    y_lo, y_hi = scores.lo[:, jy], scores.hi[:, jy]
     left, right, top, bottom = sx(x_lo), sx(x_hi), sy(y_hi), sy(y_lo)
     # a degenerate score gets a 2-px marker centered on the point
     point = (x_lo == x_hi) & (y_lo == y_hi)

@@ -56,6 +56,17 @@ def _edge_table(mids, lo=None, hi=None) -> IntervalMatrix:
     return IntervalMatrix(("r", "s", "t", "u")[:len(mids)], ("x", "y"), low, high)
 
 
+def _capped_scale_table() -> IntervalMatrix:
+    """16 rows: column x of degenerate cells at ±0.9·2**-997, its last cell
+    [-0.6·2**28, 0.6·2**28], beside a column y of cells [i, i + 1]."""
+    m = 16
+    low = np.column_stack([np.ldexp(0.9, -997) * (-1.0) ** np.arange(m),
+                           np.arange(m, dtype=float)])
+    high = low + [0.0, 1.0]
+    low[-1, 0], high[-1, 0] = -np.ldexp(0.6, 28), np.ldexp(0.6, 28)
+    return IntervalMatrix(tuple(f"r{i}" for i in range(m)), ("x", "y"), low, high)
+
+
 def _assert_answered(table: IntervalMatrix) -> None:
     """standardize and both routes answer without a warning, and z's columns
     have zero mean and unit norm inside the box standardize returns."""
@@ -213,6 +224,34 @@ class TestStandardize:
                 "interval radii overflow when projected onto the components"
             )):
                 pca_auto(t)
+
+    def test_bounds_cap_the_column_scale(self):
+        # x's midpoint variance underflows. Scaled by 2**997, the exponent of
+        # its largest |midpoint|, the cell ±0.6·2**28 would overflow; 2**995
+        # keeps every bound finite, and 2r is finite, so standardize answers.
+        # sqrt(16) times the radius is not, so pca_auto refuses.
+        t = _capped_scale_table()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bounds = standardize(t).bounds
+            assert np.isfinite(bounds.low).all() and np.isfinite(bounds.high).all()
+            with pytest.raises(DataError, match=(
+                "column 'x' is too large in magnitude for interval PCA: its "
+                "interval radii overflow when projected onto the components"
+            )):
+                pca_auto(t)
+
+    def test_column_flagged_at_unit_scale_refused(self):
+        # The variance of midpoints 0, 1e-300, 0 underflows, and the bound
+        # 1.5e308 caps the scale at 2**0: no scale helps, and 2r overflows.
+        t = _edge_table((0.0, 1e-300, 0.0), -1.5e308, 1.5e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=(
+                "column 'x' is too large in magnitude to standardize: its "
+                "interval widths overflow when standardized"
+            )):
+                standardize(t)
 
     def test_radii_exact_far_from_the_mean(self):
         # Cells 1e-3 to 2e-2 wide sit up to 2e7 widths from their column's
@@ -541,6 +580,8 @@ class TestPowerOfTwoScaling:
     @example(_edge_table((1e-320, 3e-320)), 1000)
     @example(_edge_table((0.0, 5e-301, 0.0, 0.0)), 900)
     @example(_edge_table((1.0, 2.0, 4.0, 0.0)), 1020)
+    # The bound ±0.6·2**28 caps the scale of x; pca_auto refuses both.
+    @example(_capped_scale_table(), 100)
     def test_every_array_keeps_its_bits(self, table, k):
         scaled = _column_times_power_of_two(table, 0, k)
         assume(scaled is not None)

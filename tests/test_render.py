@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from sympca import (
@@ -267,3 +268,71 @@ class TestRenderCircleBytes:
         assert _sha256(render_circle(_circle_table(), spec)) == (
             "a8b0c455351d04eeaf3237b2831eb0ea18cf61507145733c38fa6bd27e7e3e45"
         )
+
+
+# Any text XML 1.0 can hold: its Char production.
+_XML_TEXT = st.text(st.one_of(
+    st.sampled_from("\t\n\r"),
+    st.characters(min_codepoint=0x20, max_codepoint=0xD7FF),
+    st.characters(min_codepoint=0xE000, max_codepoint=0xFFFD),
+    st.characters(min_codepoint=0x10000),
+), max_size=6)
+
+_NUMERIC_ATTRIBUTES = ("x", "y", "width", "height", "x1", "y1", "x2", "y2",
+                       "cx", "cy", "r")
+
+
+@st.composite
+def _wide_tables(draw):
+    """Tables whose column x has midpoints within 1e-150 of 0 and one cell
+    [-h, h], h from 1e155 to 1e157: pca_auto's score bounds then reach about
+    1e305 to 1e307, where 600 times an axis span overflows."""
+    m = draw(st.integers(3, 6))
+    rows = draw(st.lists(_XML_TEXT, min_size=m, max_size=m, unique=True))
+    cols = draw(st.lists(_XML_TEXT, min_size=2, max_size=2, unique=True))
+    mids = draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m))
+    half = draw(st.floats(1e155, 1e157))
+    other = draw(st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m, unique=True))
+    lo = np.column_stack([np.multiply(mids, 1e-150), other])
+    hi = lo.copy()
+    lo[-1, 0], hi[-1, 0] = -half, half
+    return IntervalMatrix(rows, cols, lo, hi)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_wide_tables(), _XML_TEXT)
+# The 4x2 table of a cell [-1e155, 1e155] among midpoints 0, 1e-150, 0.
+@example(IntervalMatrix(
+    ("a", "b", "c", "d"), ("x", "y"),
+    [[0.0, 1.0], [1e-150, 3.0], [0.0, 2.0], [-1e155, 4.0]],
+    [[0.0, 1.0], [1e-150, 3.0], [0.0, 2.0], [1e155, 4.0]],
+), "")
+def test_plots_parse_with_finite_coordinates(table, title):
+    # Whatever pca_auto answers, both plots are XML with finite numbers.
+    try:
+        res = pca_auto(table)
+    except DataError:
+        reject()
+    spec = PlotSpec(title=title)
+    for svg in (render_plane(res.scores, spec),
+                render_circle(clamp_correlations(res.correlations), spec)):
+        for element in ET.fromstring(svg).iter():
+            for name in _NUMERIC_ATTRIBUTES:
+                if name in element.attrib:
+                    assert math.isfinite(float(element.attrib[name])), (element.tag, name)
+
+
+@pytest.mark.parametrize("render, rows, cols, title, bad", [
+    (render_plane, ("a\x01b", "c"), ("PC1", "PC2"), "", "a\x01b"),
+    (render_circle, ("a", "c"), ("PC1", "x\ufffey"), "", "x\ufffey"),
+    (render_circle, ("a", "c"), ("PC1", "PC2"), "t\ud800", "t\ud800"),
+    (render_plane, ("a", "c"), ("PC1", "PC2"), "\uffff", "\uffff"),
+], ids=["row-label-control", "column-name-fffe", "title-lone-surrogate",
+        "title-ffff"])
+def test_text_xml_cannot_hold_refused(render, rows, cols, title, bad):
+    t = IntervalMatrix(rows, cols, [[0.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [1.0, 1.0]])
+    with pytest.raises(DataError) as info:
+        render(t, PlotSpec(title=title))
+    assert str(info.value) == (
+        f"cannot write {bad!r} to SVG: it holds a character XML 1.0 does not allow"
+    )
