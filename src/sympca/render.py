@@ -26,7 +26,8 @@ corners back through the inverse affine transform, then multiplying by
 Output is deterministic: identical input produces byte-identical SVG.
 A title, axis name or row label holding a character outside XML 1.0's
 ``Char`` (a C0 control other than tab, LF and CR; U+FFFE, U+FFFF; a lone
-surrogate) raises DataError.
+surrogate) raises DataError; a CR is written ``&#13;``, so every text
+reads back exactly.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ PALETTE = (
 _FONT = 'font-family="sans-serif" font-size="12"'
 _AXIS = 'stroke="#999999" stroke-width="1"'
 # One character outside XML 1.0's Char production.
-_NOT_XML_CHAR = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+_NOT_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass(frozen=True)
@@ -94,9 +95,10 @@ def _axis_columns(table: IntervalMatrix, spec: PlotSpec) -> tuple[int, int]:
 
 
 def _escape(text: str) -> str:
-    """XML-escape ``&``, ``>`` and ``<``, as ``xml.sax.saxutils.escape`` does
-    with no extra entities (importing that module loads the network stack)."""
-    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    """XML-escape as ``xml.sax.saxutils.escape(text, {"\\r": "&#13;"})`` does
+    (importing it loads the network stack); a bare CR would read back as LF."""
+    return (text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+            .replace("\r", "&#13;"))
 
 
 def _figure(spec: PlotSpec, origin: tuple[float, float], names: tuple[str, str],

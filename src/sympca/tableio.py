@@ -22,7 +22,6 @@ import threading
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -43,6 +42,7 @@ __all__ = [
 # strip all of it (``"\x1c"``), so only this reads a bound padded with it.
 _CELL_RE = re.compile(r"^\s*\[\s*([^,\[\]\s]+)\s*,\s*([^,\[\]\s]+)\s*\]\s*$")
 _PAIR_RE = re.compile(r"^(.+)\.(lo|hi)$")
+_QUOTE_RE = re.compile(r'[,"\r\n]')  # a written field holding one is quoted
 
 # Characters of body text per row block. A block ends at the first line end
 # after this many characters, so its lines are whole records.
@@ -409,43 +409,37 @@ def _interval_layout(header: list[str]) -> _Layout:
     )
 
 
+def _field(text: str, quote: bool = False) -> str:
+    """``text`` as a CSV field: quoted, its quotes doubled, if ``quote`` or if
+    ``_QUOTE_RE`` finds a character of it (as ``csv.QUOTE_MINIMAL`` would)."""
+    return '"' + text.replace('"', '""') + '"' if quote or _QUOTE_RE.search(text) else text
+
+
 def write_interval_csv(table: IntervalMatrix) -> str:
-    """Serialize to the bracket-cell CSV grammar; reparsing is exact."""
-    lines: list[str] = []
-    sink = SimpleNamespace(write=lines.append)  # csv writes one string a record
-    # With an LF terminator csv quotes a field holding "\n" but not a bare
-    # "\r", which a reader takes for a line end; a header with one is
-    # written fully quoted.
-    header = ["", *table.cols]
-    quoted = any("\r" in name for name in header)
-    csv.writer(
-        sink, lineterminator="\n", quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL
-    ).writerow(header)
-    # csv quotes each label as the first field of a record, with an empty
-    # second field unless there are no cells (a lone empty field is written
-    # '""'). Its CRLF terminator makes it quote a bare "\r" too, which gives
-    # the bytes of a fully quoted record. A bracket cell always holds a comma,
-    # so csv would quote it as is: the cells skip csv and are formatted row
-    # by row, repr being the shortest float text that parses back exactly.
-    pad = ("",) if table.cols else ()
-    cell = '"[{!r},{!r}]"'.format
+    """Serialize to the bracket-cell CSV grammar; reparsing is exact.
+
+    A header with a CR in a name has every field quoted; a record of one
+    empty field is written '""'. A cell holds a comma, so it is quoted;
+    ``repr`` is the shortest float text that parses back exactly."""
+    header = ("", *table.cols)
+    whole = any("\r" in name for name in header)
+    head = ",".join([_field(name, whole) for name in header]) or '""'
     # Equal row blocks of _BLOCK to 2 * _BLOCK characters, taking a cell for 48.
     m = len(table.rows)
     blocks = max(1, min(m, m * (48 * len(table.cols) + 16) // _BLOCK))
     step = -(-m // blocks)
 
     def records(first: int, last: int) -> list[str]:
-        out: list[str] = []
-        label = csv.writer(SimpleNamespace(write=out.append), lineterminator="\r\n")
         rows = slice(first * step, last * step)
+        out: list[str] = []
         for name, lows, highs in zip(
             table.rows[rows], table.lo[rows].tolist(), table.hi[rows].tolist()
         ):
-            label.writerow((name, *pad))
-            out[-1] = out[-1][:-2] + ",".join(map(cell, lows, highs)) + "\n"
+            cells = "".join([f',"[{a!r},{b!r}]"' for a, b in zip(lows, highs)])
+            out.append((_field(name) + cells or '""') + "\n")
         return ["".join(out)]
 
-    return "".join(lines + _in_two(records, blocks))
+    return "".join([head, "\n", *_in_two(records, blocks)])
 
 
 @dataclass(frozen=True, eq=False)

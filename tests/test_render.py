@@ -3,6 +3,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import re
+import sys
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -20,7 +22,7 @@ from sympca import (
     render_circle,
     render_plane,
 )
-from sympca.render import _escape
+from sympca.render import _NOT_XML_CHAR, _escape
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -130,7 +132,7 @@ class TestRenderCircle:
 
 @given(st.text(alphabet=st.sampled_from("&<>;amplgt#x \"'") | st.characters()))
 def test_escape_matches_saxutils(text):
-    assert _escape(text) == escape(text)
+    assert _escape(text) == escape(text, {"\r": "&#13;"})
 
 
 class TestRenderPlane:
@@ -308,10 +310,13 @@ def _wide_tables(draw):
     [[0.0, 1.0], [1e-150, 3.0], [0.0, 2.0], [1e155, 4.0]],
 ), "")
 def test_plots_parse_with_finite_coordinates(table, title):
-    # Whatever pca_auto answers, both plots are XML with finite numbers.
+    # Whatever pca_auto answers with two components, both plots are XML with
+    # finite numbers (nearly collinear columns can leave only one).
     try:
         res = pca_auto(table)
     except DataError:
+        reject()
+    if len(res.scores.cols) < 2:
         reject()
     spec = PlotSpec(title=title)
     for svg in (render_plane(res.scores, spec),
@@ -336,3 +341,22 @@ def test_text_xml_cannot_hold_refused(render, rows, cols, title, bad):
     assert str(info.value) == (
         f"cannot write {bad!r} to SVG: it holds a character XML 1.0 does not allow"
     )
+
+
+def test_not_xml_char_matches_negated_char_class():
+    # The XML 1.0 Char production as a negated class, over every code point.
+    char = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert _NOT_XML_CHAR.findall(every) == char.findall(every)
+
+
+def test_carriage_returns_read_back():
+    t = IntervalMatrix(("a\rb", "c", "d"), ("x\r\ny", "z"),
+                       [[0.0, 1.0], [1.0, 3.0], [2.0, 2.0]],
+                       [[1.0, 2.0], [3.0, 3.5], [2.5, 4.0]])
+    res = pca_auto(t)
+    spec = PlotSpec(title="t\r1\r")
+    for svg, label in ((render_plane(res.scores, spec), "a\rb"),
+                       (render_circle(clamp_correlations(res.correlations), spec), "x\r\ny")):
+        texts = [e.text for e in ET.fromstring(svg).iter(f"{SVG_NS}text")]
+        assert "t\r1\r" in texts and label in texts

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 from typing import Iterator
 from unittest import mock
 
@@ -478,6 +479,47 @@ def _interval_tables(draw):
     cells = draw(st.lists(_bounds, min_size=m * n, max_size=m * n))
     grid = np.array(cells, dtype=float).reshape(m, n, 2)
     return IntervalMatrix(tuple(rows), tuple(cols), grid[..., 0], grid[..., 1])
+
+
+def _csv_writer_reference(table: IntervalMatrix) -> str:
+    """write_interval_csv as it was written through csv.writer."""
+    lines: list[str] = []
+    header = ["", *table.cols]
+    quoted = any("\r" in name for name in header)
+    csv.writer(
+        SimpleNamespace(write=lines.append), lineterminator="\n",
+        quoting=csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL,
+    ).writerow(header)
+    pad = ("",) if table.cols else ()
+    cell = '"[{!r},{!r}]"'.format
+    label = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    for name, lows, highs in zip(table.rows, table.lo.tolist(), table.hi.tolist()):
+        label.writerow((name, *pad))
+        lines[-1] = lines[-1][:-2] + ",".join(map(cell, lows, highs)) + "\n"
+    return "".join(lines)
+
+
+_quoting_labels = st.text(st.sampled_from(',"\r\n \x1cÖ'), max_size=4)
+
+
+@st.composite
+def _quoting_tables(draw):
+    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, 3))
+    rows = draw(st.lists(_quoting_labels, min_size=m, max_size=m, unique=True))
+    cols = draw(st.lists(_quoting_labels, min_size=n, max_size=n, unique=True))
+    grid = np.array(draw(st.lists(_bounds, min_size=m * n, max_size=m * n)), dtype=float)
+    grid = grid.reshape(m, n, 2)
+    return IntervalMatrix(tuple(rows), tuple(cols), grid[..., 0], grid[..., 1])
+
+
+@settings(deadline=None)
+@given(_quoting_tables())
+def test_write_matches_csv_writer(table):
+    text = write_interval_csv(table)
+    assert text == _csv_writer_reference(table)
+    if table.cols:  # the reader refuses a header that names no column
+        assert parse_interval_csv(text) == table
 
 
 class TestRoundTripProperty:
