@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import benchmark_paths
@@ -107,15 +108,14 @@ def _cmd_aggregate(args: argparse.Namespace) -> None:
 
 def _cmd_pca(args: argparse.Namespace) -> None:
     result = _run_pca(args)
+    if args.clamp:
+        result = replace(result, correlations=clamp_correlations(result.correlations))
     out = Path(args.output)
-    _write(out, result_to_json(result, clamp=args.clamp) + "\n")
+    _write(out, result_to_json(result, clamp=False) + "\n")
     base = out.with_suffix("") if out.suffix else out
-    correlations = (
-        clamp_correlations(result.correlations) if args.clamp
-        else result.correlations
-    )
     _write(base.with_name(base.name + ".scores.csv"), write_interval_csv(result.scores))
-    _write(base.with_name(base.name + ".correlations.csv"), write_interval_csv(correlations))
+    _write(base.with_name(base.name + ".correlations.csv"),
+           write_interval_csv(result.correlations))
 
 
 def _cmd_plot(args: argparse.Namespace) -> None:

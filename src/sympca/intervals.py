@@ -92,6 +92,8 @@ class IntervalMatrix:
     def __post_init__(self) -> None:
         rows = _check_labels(self.rows, "row")
         cols = _check_labels(self.cols, "column")
+        if not cols:  # the CSV grammar has no way to write such a table
+            raise DataError("an interval table needs at least one column")
         lo = _finite_array(self.lo, "interval grid", ndim=None)
         hi = _finite_array(self.hi, "interval grid", ndim=None)
         expected = (len(rows), len(cols))

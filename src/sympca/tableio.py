@@ -66,13 +66,16 @@ def _in_two(work: Callable[[int, int], list | None], count: int) -> list | None:
     ``work(0, half) + work(half, count)``; None when either half is None.
 
     With two or more blocks, ``os.fork``, two usable CPUs and no other
-    thread (a forked child could block on a lock another thread held), a
-    forked helper does the second half while this process does the first,
-    sends its result through a pipe and leaves by ``os._exit``. A helper
-    that fails, or dies, before its whole result is sent (a short pickle
-    does not load) leaves its half to be done here, so the outcome, values
-    and first error alike, is that of one process. No helper outlives the
-    call.
+    Python thread (a forked child could block on a lock another thread
+    held), a forked helper does the second half while this process does the
+    first, sends its result through a pipe and leaves by ``os._exit``. The
+    thread check is ``threading.active_count()``, which counts only threads
+    that ``threading`` knows of: native threads, such as the one OpenBLAS
+    starts besides the main thread when numpy loads it on two cores, do not
+    count. A helper that fails, or dies, before its whole result is sent (a
+    short pickle does not load) leaves its half to be done here, so the
+    outcome, values and first error alike, is that of one process. No helper
+    outlives the call.
     """
     half = count // 2
     if count < 2 or _fork is None or _usable_cpus() < 2 or threading.active_count() > 1:
@@ -416,14 +419,15 @@ def _field(text: str, quote: bool = False) -> str:
 
 
 def write_interval_csv(table: IntervalMatrix) -> str:
-    """Serialize to the bracket-cell CSV grammar; reparsing is exact.
+    """Serialize to the bracket-cell CSV grammar; reparsing is exact unless
+    every column name ends in ``.lo``/``.hi`` (the paired layout's header).
 
-    A header with a CR in a name has every field quoted; a record of one
-    empty field is written '""'. A cell holds a comma, so it is quoted;
-    ``repr`` is the shortest float text that parses back exactly."""
+    A header with a CR in a name has every field quoted. A cell holds a
+    comma, so it is quoted; ``repr`` is the shortest float text that parses
+    back exactly."""
     header = ("", *table.cols)
     whole = any("\r" in name for name in header)
-    head = ",".join([_field(name, whole) for name in header]) or '""'
+    head = ",".join([_field(name, whole) for name in header])
     # Equal row blocks of _BLOCK to 2 * _BLOCK characters, taking a cell for 48.
     m = len(table.rows)
     blocks = max(1, min(m, m * (48 * len(table.cols) + 16) // _BLOCK))
@@ -436,7 +440,7 @@ def write_interval_csv(table: IntervalMatrix) -> str:
             table.rows[rows], table.lo[rows].tolist(), table.hi[rows].tolist()
         ):
             cells = "".join([f',"[{a!r},{b!r}]"' for a, b in zip(lows, highs)])
-            out.append((_field(name) + cells or '""') + "\n")
+            out.append(_field(name) + cells + "\n")
         return ["".join(out)]
 
     return "".join([head, "\n", *_in_two(records, blocks)])

@@ -50,6 +50,9 @@ PUBLIC = [
 
 REPO = Path(__file__).resolve().parent.parent
 PERFBENCH = REPO / "perfbench"
+# The imported package's directory, the checkout's src/ or an installed copy:
+# the import checks below run in a fresh interpreter on that same copy.
+PACKAGE_PARENT = str(Path(sympca.__file__).resolve().parents[1])
 
 # Each CLI command is a fresh interpreter; none of these may load on import.
 # xml.sax.saxutils pulls in the network stack (urllib.request, http.client,
@@ -97,7 +100,7 @@ def test_import_loads_no_network_stack_or_statistics(module):
         f"print(sorted(m for m in sys.modules for bad in {NOT_LOADED!r} "
         "if m == bad or m.startswith(bad + '.')))"
     )
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -106,19 +109,21 @@ def test_import_loads_no_network_stack_or_statistics(module):
 
 def test_import_loads_no_resource_reader_or_pathlib():
     # Under -S no .pth file runs, so whatever loads these is sympca's own
-    # import; numpy's site directory is appended by hand.
+    # import; numpy's site directory is appended by hand. sympca.cli takes
+    # paths through pathlib, but it reads no resource either.
     site_dir = os.path.dirname(os.path.dirname(np.__file__))
-    bad = ("importlib.resources", "pathlib")
+    loaded = ("sorted(m for m in sys.modules for bad in {!r} "
+              "if m == bad or m.startswith(bad + '.'))").format
     script = (
         f"import sys; sys.path.append({site_dir!r}); import sympca; "
-        f"print(sorted(m for m in sys.modules for bad in {bad!r} "
-        "if m == bad or m.startswith(bad + '.')))"
+        f"print({loaded(('importlib.resources', 'pathlib'))}); "
+        f"import sympca.cli; print({loaded(('importlib.resources',))})"
     )
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT)
     proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
 @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=9),

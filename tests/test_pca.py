@@ -365,10 +365,10 @@ class TestPcaStructure:
         assert np.allclose(res.scores.lo, full.scores.lo[:, :2])
 
     def test_zero_columns_rejected(self):
-        table = IntervalMatrix(("a", "b"), (), np.zeros((2, 0)), np.zeros((2, 0)))
+        # Refused where the table is built, before any route sees it.
         with pytest.raises(DataError) as info:
-            pca_auto(table)
-        assert str(info.value) == "data has no positive-variance directions"
+            IntervalMatrix(("a", "b"), (), np.zeros((2, 0)), np.zeros((2, 0)))
+        assert str(info.value) == "an interval table needs at least one column"
 
     @pytest.mark.parametrize("bad_q", [0, -1, 5])
     def test_q_out_of_range(self, oils, bad_q):
