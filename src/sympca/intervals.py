@@ -38,6 +38,9 @@ VERTEX_ENUM_LIMIT = 25
 # Vertices enumerated per chunk, to bound oracle memory at high dimension.
 _ENUM_CHUNK = 1 << 16
 
+# Terms per block of a spread's inner sum (see ``_spread``).
+_SPREAD_BLOCK = 1024
+
 
 @dataclass(frozen=True, eq=False)
 class BoundsPair:
@@ -165,13 +168,20 @@ def _default_labels(prefix: str, count: int) -> tuple[str, ...]:
 
 def _spread(centre, radius, weights, rows, cols) -> IntervalMatrix:
     """Intervals ``centre ± radius @ |weights|`` around the projected box centres."""
+    # The inner sum (over the table's rows for correlations, its columns for
+    # scores) is added in fixed blocks of _SPREAD_BLOCK terms, so its bytes do
+    # not depend on how many threads BLAS splits a longer sum across. A sum of
+    # up to _SPREAD_BLOCK terms is one product, as an unblocked one.
+    weights = np.abs(weights)
+    half = radius[:, :_SPREAD_BLOCK] @ weights[:_SPREAD_BLOCK]
+    for start in range(_SPREAD_BLOCK, weights.shape[0], _SPREAD_BLOCK):
+        half += radius[:, start:start + _SPREAD_BLOCK] @ weights[start:start + _SPREAD_BLOCK]
     # radius >= 0 makes half >= 0, and then rounding keeps fl(c - half) <= c <=
     # fl(c + half): c lies inside exactly, and a zero radius gives c at both ends.
     # The low ends are formed first, the high ends then in half's own buffer.
     # Only finiteness is left to check: the products can overflow. half is >= 0
     # or NaN (inf·0), and the centres are bounded, so both ends are finite
     # exactly when half's largest entry is.
-    half = radius @ np.abs(weights)
     if not np.isfinite(half.max()):
         raise DataError("interval grid contains non-finite entries")
     return IntervalMatrix._derived(rows, cols, centre - half, np.add(half, centre, out=half))

@@ -8,7 +8,8 @@ Both CSV forms are read by one ``str.split`` tokeniser in row blocks, as
 long as it reads them as ``csv.reader`` would; other text goes to the reader,
 whose bracket cells are read by ``_CELL_RE``, as in the error walk.
 A job of two or more row blocks, read or written, is shared with one forked
-helper process where that is safe (see ``_in_two``).
+helper process where that is safe: both take the next block from one queue
+until none is left (see ``_in_two``).
 """
 
 from __future__ import annotations
@@ -45,8 +46,14 @@ _PAIR_RE = re.compile(r"^(.+)\.(lo|hi)$")
 _QUOTE_RE = re.compile(r'[,"\r\n]')  # a written field holding one is quoted
 
 # Characters of body text per row block. A block ends at the first line end
-# after this many characters, so its lines are whole records.
-_BLOCK = 1 << 20
+# after this many characters, so its lines are whole records. Blocks are
+# small so that the last one either process converts is short (see _in_two).
+_BLOCK = 1 << 18
+
+# At most this many tickets are queued for a forked helper: at 4 bytes each
+# they fill one page, the least a pipe holds (pipe(7)), so writing them all
+# before anything reads them cannot block.
+_TICKETS = 1024
 
 _fork = getattr(os, "fork", None)  # None on Windows
 
@@ -61,58 +68,91 @@ def _send(fd: int, result: object) -> None:
         pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
 
 
+def _tickets(queue: int) -> Iterator[int]:
+    """The tickets taken from the pipe ``queue`` until it is empty."""
+    while ticket := os.read(queue, 4):
+        yield int.from_bytes(ticket, "little")
+
+
 def _in_two(work: Callable[[int, int], list | None], count: int) -> list | None:
     """``work(0, count)`` for a job of ``count`` row blocks, done as
-    ``work(0, half) + work(half, count)``; None when either half is None.
+    ``work`` over runs of consecutive blocks joined in order; None when any
+    run is None.
 
     With two or more blocks, ``os.fork``, two usable CPUs and no other
     Python thread (a forked child could block on a lock another thread
-    held), a forked helper does the second half while this process does the
-    first, sends its result through a pipe and leaves by ``os._exit``. The
-    thread check is ``threading.active_count()``, which counts only threads
-    that ``threading`` knows of: native threads, such as the one OpenBLAS
-    starts besides the main thread when numpy loads it on two cores, do not
-    count. A helper that fails, or dies, before its whole result is sent (a
-    short pickle does not load) leaves its half to be done here, so the
-    outcome, values and first error alike, is that of one process. No helper
-    outlives the call.
+    held), the runs, one block each up to ``_TICKETS`` blocks, are queued as
+    tickets in a pipe before a helper is forked. This process and the helper
+    each take the next ticket until none is left, so the faster of the two
+    converts more. The helper then sends its runs, by ticket, through a
+    second pipe and leaves by ``os._exit``; one that meets a rejected run
+    takes the tickets left and leaves at once. The thread check is
+    ``threading.active_count()``, which counts only threads that
+    ``threading`` knows of: native threads, such as the one OpenBLAS starts
+    besides the main thread when numpy loads it on two cores, do not count.
+    Any run the helper does not deliver (it failed, died, met a rejected
+    run, or sent a short pickle, which does not load) is converted here, in
+    order, so the outcome, values and first error alike, is that of one
+    process. No helper outlives the call.
     """
-    half = count // 2
     if count < 2 or _fork is None or _usable_cpus() < 2 or threading.active_count() > 1:
         return work(0, count)
+    tickets = min(count, _TICKETS)
+    runs = [(t * count // tickets, (t + 1) * count // tickets) for t in range(tickets)]
+    queue, fill = os.pipe()
+    os.write(fill, b"".join(t.to_bytes(4, "little") for t in range(tickets)))
+    os.close(fill)
     read, write = os.pipe()
     pid = _fork()
     if pid == 0:  # the helper
         code = 1
         try:
             os.close(read)
-            _send(write, work(half, count))
-            code = 0
+            done = {}
+            for ticket in _tickets(queue):
+                done[ticket] = work(*runs[ticket])
+                if done[ticket] is None:  # so this process stops taking runs
+                    while os.read(queue, 4096):
+                        pass
+                    break
+            else:
+                _send(write, done)
+                code = 0
         finally:
             os._exit(code)
     os.close(write)
+    done = {}
     data = None
     try:
         with open(read, "rb") as pipe:
-            first = work(0, half)
-            if first is not None:
-                data = pipe.read()
+            for ticket in _tickets(queue):
+                done[ticket] = work(*runs[ticket])
+                if done[ticket] is None:
+                    return None
+            data = pipe.read()
     finally:
+        os.close(queue)
         try:
-            if data is None:  # the helper's half is not needed, or this process failed
+            if data is None:  # the helper's runs are not needed, or this process failed
                 from signal import SIGKILL  # here: `import sympca` does not load signal
 
                 os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
         except (ProcessLookupError, ChildProcessError):  # SIGCHLD ignored: the kernel reaps
             pass
-    if first is None:
-        return None
     try:
-        second = pickle.loads(data)
+        done = pickle.loads(data) | done
     except (pickle.UnpicklingError, EOFError):
-        second = work(half, count)
-    return None if second is None else first + second
+        pass
+    parts = []
+    for ticket, run in enumerate(runs):
+        part = done.get(ticket)
+        if part is None:
+            part = work(*run)
+            if part is None:
+                return None
+        parts += part
+    return parts
 
 
 def _parse_number(text: str, where: str) -> float:

@@ -1,14 +1,15 @@
-"""Outputs of two thin tables that do not depend on the OpenBLAS thread count.
+"""Outputs of thin tables that do not depend on the OpenBLAS thread count.
 
-At 5000x20 and 20x5000 the eigenpairs and both centre families are the same
-bytes under one and two OpenBLAS threads: the centres come from the
-eigenvectors by elementwise duality relations, not by a matrix product whose
-inner sum BLAS may split across threads. Only the spread whose inner sum runs
-over the long side (the correlation endpoints of a tall table, the score
-endpoints of a wide one) moved in its last digits, so those arrays are left
-out. Other shapes vary more: at 200x1000 the transported U and the centre
-correlations differ, at 300x300 the eigenpairs too (README, "Eigensolver").
-No difference is asserted, as whether one shows depends on the BLAS build.
+At 5000x20, 20000x20 and 20x5000 every output is the same bytes under one
+and two OpenBLAS threads. The centres come from the eigenvectors by
+elementwise duality relations, not by a matrix product whose inner sum BLAS
+may split across threads, and the spread whose inner sum runs over the long
+side (the correlation endpoints of a tall table, the score endpoints of a
+wide one) adds that sum in fixed blocks of 1024 terms. Other shapes vary
+more: at 1000x200 the correlation endpoints differed (their sum of 1000
+terms is one block), at 200x1000 the transported U and the centre
+correlations, at 300x300 the eigenpairs too (README, "Eigensolver"). No
+difference is asserted, as whether one shows depends on the BLAS build.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# Prints one "name digest" line per output, for a seeded tall and wide table.
+# Prints one "name digest" line per output, for seeded tall and wide tables.
 SCRIPT = """
 import hashlib
 import numpy as np
@@ -30,11 +31,14 @@ from sympca.bench import random_interval_table
 def show(name, data):
     print(name, hashlib.sha256(data).hexdigest())
 
-for seed, (m, n) in enumerate(((5000, 20), (20, 5000))):
+for seed, (m, n) in enumerate(((5000, 20), (20, 5000), (20000, 20))):
     res = pca_auto(random_interval_table(m, n, np.random.default_rng(seed)))
     for field in ("eigenvalues", "loadings_u", "axes_v", "center_scores",
                   "center_correlations"):
         show(f"{m}x{n} {field}", np.ascontiguousarray(getattr(res, field)).tobytes())
+    for field in ("scores", "correlations"):
+        ends = getattr(res, field)
+        show(f"{m}x{n} {field}", ends.lo.tobytes() + ends.hi.tobytes())
     if m > n:
         show(f"{m}x{n} plane", render_plane(res.scores, PlotSpec()).encode())
 """
@@ -52,5 +56,5 @@ def _digests(threads: int) -> list[str]:
 
 def test_one_and_two_threads_give_the_same_bytes():
     one, two = _digests(1), _digests(2)
-    assert len(one) == 11
+    assert len(one) == 23
     assert one == two

@@ -467,7 +467,7 @@ def _pca_raising(raised: BaseException, monkeypatch, tmp_path, capsys) -> tuple[
 
 
 class TestRowBlocks:
-    # Each input spans several row blocks, so a forked helper converts half
+    # Each input spans several row blocks, so a forked helper converts some
     # of them, in process and in the console script alike; the bytes must be
     # those of a run held to one CPU.
     @pytest.mark.parametrize("case", [

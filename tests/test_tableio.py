@@ -1014,6 +1014,40 @@ def forks(monkeypatch) -> Iterator[list[int]]:
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture
+def held(forks, monkeypatch) -> None:
+    """Which process converts which row block, fixed: once a helper is
+    forked, this process holds its first block until the helper has taken
+    every other ticket (or has left), so the helper converts all blocks but
+    that one. Tickets are taken in order: the helper has taken the rest
+    once it takes the last."""
+    in_two = tableio._in_two
+
+    def held_in_two(work, count):
+        forked, parent = len(forks), os.getpid()
+        taken, took_last = os.pipe()
+        open_ends = [taken, took_last]
+
+        def held_work(first: int, last: int) -> list | None:
+            if os.getpid() != parent:
+                if last == count:
+                    os.write(took_last, b"!")
+            elif len(forks) > forked and took_last in open_ends:
+                open_ends.remove(took_last)
+                os.close(took_last)  # the read below then ends when the helper leaves
+                if last < count:  # else every other ticket is taken already
+                    os.read(taken, 1)
+            return work(first, last)
+
+        try:
+            return in_two(held_work, count)
+        finally:
+            for fd in open_ends:
+                os.close(fd)
+
+    monkeypatch.setattr(tableio, "_in_two", held_in_two)
+
+
 def _one_process(monkeypatch, call):
     with monkeypatch.context() as patch:
         patch.setattr(tableio, "_usable_cpus", lambda: 1)
@@ -1023,8 +1057,8 @@ def _one_process(monkeypatch, call):
 class TestParseMemory:
     # Row blocks bound what a parse holds besides its result: the tokens of
     # one block, not a string per field of the whole text. On one CPU the
-    # whole parse is traced; on two, a helper process parses half the blocks
-    # out of tracemalloc's sight, and this process holds what it sends.
+    # whole parse is traced; on two, a helper process parses the blocks it
+    # takes out of tracemalloc's sight, and this process holds what it sends.
     def test_classic_peak(self, monkeypatch):
         monkeypatch.setattr(tableio, "_usable_cpus", lambda: 1)
         text = _classic_text(20000, 20)
@@ -1046,11 +1080,12 @@ class TestParseMemory:
 
 class TestRowBlocks:
     # A block of 16 characters holds one record: every error and fallback
-    # below lies in a late block. On two CPUs a forked helper converts the
-    # second half of the blocks, so the errors at rows 30 and 35 of 40 lie
-    # in the helper's half; the messages are those of one process.
+    # below lies in a late block. On two CPUs a forked helper converts every
+    # block but this process's first (``held``), so the errors at rows 30
+    # and 35 of 40 lie in blocks the helper converts; the messages are those
+    # of one process.
     @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch, forks):
+    def small_blocks(self, monkeypatch, held):
         monkeypatch.setattr(tableio, "_BLOCK", 16)
 
     def _rows(self, m: int) -> list[str]:
@@ -1175,7 +1210,7 @@ _CALLS = {
     "bracket-crlf": lambda: _interval_fields(parse_interval_csv(_BRACKET.replace("\n", "\r\n"))),
     "paired": lambda: _interval_fields(parse_interval_csv(_PAIRED)),
     "write": lambda: write_interval_csv(_TABLE),
-    # a bad number in record 250 of 300, in the helper's half of the blocks
+    # a bad number in record 250 of 300, in a late block
     "classic-error": lambda: _message(lambda: parse_classic_csv(
         _CLASSIC.replace("rec250,S250,n250,", "rec250,S250,n250,x"),
         concept="state", exclude=["note"],
@@ -1209,9 +1244,9 @@ def _unreadable(fd: int, result: object) -> None:
 
 
 class TestTwoCores:
-    # A forked helper converts the second half of the row blocks; the
-    # result is that of one process, to the byte, also when the helper
-    # fails and its half is done again here.
+    # This process and a forked helper take the row blocks from one queue;
+    # the result is that of one process, to the byte, also when the helper
+    # fails and the blocks it did not deliver are converted here.
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(tableio, "_BLOCK", 64)
@@ -1227,11 +1262,50 @@ class TestTwoCores:
         "send", [_exit_non_zero, _killed, _short, _nothing, _unreadable],
         ids=["exits-non-zero", "killed", "short", "empty", "unreadable"],
     )
-    def test_failed_helper_half_done_here(self, send, forks, monkeypatch):
+    def test_failed_helper_half_done_here(self, send, forks, held, monkeypatch):
         expected = {name: _one_process(monkeypatch, call) for name, call in _CALLS.items()}
         monkeypatch.setattr(tableio, "_send", send)
         assert {name: call() for name, call in _CALLS.items()} == expected
         assert len(forks) == len(_CALLS)
+
+    def test_each_block_once_in_order(self, forks):
+        parent = os.getpid()
+        waits = [0.2]  # this process's first block, while the helper takes others
+
+        def work(first: int, last: int) -> list[tuple[int, int]]:
+            if os.getpid() == parent and waits:
+                time.sleep(waits.pop())
+            return [(os.getpid(), i) for i in range(first, last)]
+
+        result = tableio._in_two(work, 40)
+        assert [i for _, i in result] == list(range(40))
+        assert {pid for pid, _ in result} == {parent, *forks}
+
+    def test_helper_leaving_midway(self, forks, held, monkeypatch):
+        # The helper leaves as it starts its third block; those three
+        # blocks, taken from the queue but never sent, are converted here.
+        parent = os.getpid()
+        converted = []
+
+        def work(first: int, last: int) -> list[tuple[int, int]]:
+            if os.getpid() != parent:
+                converted.append(first)
+                if len(converted) == 3:
+                    os._exit(0)
+            return [(os.getpid(), i) for i in range(first, last)]
+
+        one = _one_process(monkeypatch, lambda: tableio._in_two(work, 40))
+        assert tableio._in_two(work, 40) == one == [(parent, i) for i in range(40)]
+        assert len(forks) == 1
+
+    def test_over_1024_blocks_queued_as_runs(self, forks):
+        # One ticket per run of consecutive blocks: 1024 tickets of 4 bytes
+        # fill the one page a pipe is sure to hold, so queuing never blocks.
+        runs = tableio._in_two(lambda first, last: [(first, last)], 5000)
+        assert len(runs) == 1024
+        assert [first for first, _ in runs] == [0] + [last for _, last in runs[:-1]]
+        assert runs[-1][1] == 5000
+        assert len(forks) == 1
 
     def test_early_error_stops_helper(self, forks, monkeypatch):
         # The first half is rejected: the helper is killed, not waited for.
