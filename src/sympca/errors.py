@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the two argument checks
-every public entry point makes with them: one for arrays, one for integers."""
+"""Exception types shared across the package, and the argument checks the
+public entry points make with them: one for arrays, one for integers, one
+for column names."""
 
 from numbers import Integral
 
@@ -29,3 +30,11 @@ def _finite_array(value, name: str, ndim: int | None = 2) -> np.ndarray:
 def _is_integer(value) -> bool:
     """An integer, numpy's included, but not a bool: True is no index."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _name_set(names, name: str) -> set:
+    """The column names in ``names``, refused when it is one string, whose
+    characters would otherwise be taken for the names."""
+    if isinstance(names, str):
+        raise DataError(f"{name} must be a collection of column names, not the string {names!r}")
+    return set(names)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, _finite_array
+from .errors import DataError, _finite_array, _name_set
 
 __all__ = [
     "BoundsPair",
@@ -136,7 +136,7 @@ class IntervalMatrix:
 
     def without_columns(self, names: Sequence[str]) -> "IntervalMatrix":
         """Drop the named columns; unknown names are an error."""
-        drop = set(names)
+        drop = _name_set(names, "names")
         unknown = drop - set(self.cols)
         if unknown:
             raise DataError(f"no column named {sorted(unknown)[0]!r}")

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import DataError, _finite_array
+from .errors import DataError, _finite_array, _name_set
 from .intervals import IntervalMatrix, _check_labels
 
 __all__ = [
@@ -192,9 +192,10 @@ def _read_records(text: str) -> list[list[str]]:
     return records
 
 
-def _header(text: str) -> tuple[list[str] | None, int]:
+def _header(text: str) -> tuple[list[str] | None, int, list[str] | None]:
     """The first record of a text without a carriage return, read by
-    ``csv.reader`` line by line, and the offset of the line after it."""
+    ``csv.reader`` line by line, the offset of the line after it, and the
+    record after that (None where there is none); the rest is not read."""
     end = 0
 
     def lines() -> Iterator[str]:
@@ -203,7 +204,10 @@ def _header(text: str) -> tuple[list[str] | None, int]:
             start, end = end, text.find("\n", end) + 1 or len(text)
             yield text[start:end]
 
-    return next(filter(None, csv.reader(lines())), None), end
+    records = filter(None, csv.reader(lines()))
+    header = next(records, None)
+    start = end
+    return header, start, next(records, None)
 
 
 def _row_blocks(text: str, start: int) -> list[tuple[int, int]]:
@@ -264,7 +268,7 @@ def _bracket_fields(lines: list[str], width: int) -> tuple[Sequence[str], list[s
 
 
 def _fast_table(
-    text: str, layout_of: Callable[[list[str]], _Layout]
+    text: str, layout_of: Callable[[list[str], list[str] | None], _Layout]
 ) -> tuple[_Layout, list[tuple]] | None:
     """Tokenise and convert the body row block by row block with
     ``str.split``; None as soon as the text needs ``csv.reader``: it holds
@@ -285,10 +289,10 @@ def _fast_table(
             return None
         text = text.replace("\r\n", "\n")
     try:
-        header, start = _header(text)
+        header, start, first = _header(text)
         if header is None or crlf and any("\n" in name for name in header):
             return None
-        layout = layout_of(header)
+        layout = layout_of(header, first)
     except (csv.Error, DataError):
         return None  # the csv.reader path raises the same error, in order
     split = _bracket_fields if layout.bracketed else _plain_fields
@@ -315,10 +319,11 @@ def _fast_table(
 
 
 def _read_table(
-    text: str, layout_of: Callable[[list[str]], _Layout]
+    text: str, layout_of: Callable[[list[str], list[str] | None], _Layout]
 ) -> tuple[_Layout, tuple]:
-    """Read a CSV table whose header ``layout_of`` interprets: the layout,
-    and the converted body, lists joined end to end and arrays stacked.
+    """Read a CSV table whose header and first body record (None where there
+    is none) ``layout_of`` interprets: the layout, and the converted body,
+    lists joined end to end and arrays stacked.
 
     Quote-free text and canonically quoted bracket files are read in row
     blocks (``_fast_table``); any other text goes whole to ``csv.reader``.
@@ -327,7 +332,7 @@ def _read_table(
     fast = _fast_table(text, layout_of)
     if fast is None:
         header, *body = _read_records(text)
-        layout = layout_of(header)
+        layout = layout_of(header, body[0] if body else None)
         part = None
         if all(len(record) == len(header) for record in body):
             texts = list(chain.from_iterable(record[1:] for record in body))
@@ -412,8 +417,9 @@ def parse_interval_csv(text: str) -> IntervalMatrix:
 
     The header row names the columns; the first column of every record is
     the row label. Cells are ``[lo,hi]`` brackets, or plain numbers under a
-    paired ``name.lo`` / ``name.hi`` header layout. Numbers use Python
-    ``float()`` syntax.
+    paired ``name.lo`` / ``name.hi`` header layout: a header whose every name
+    ends in ``.lo`` or ``.hi``, over a first record whose first cell is not a
+    bracket cell (or no record). Numbers use Python ``float()`` syntax.
 
     Raises DataError for malformed cells (with row/column position),
     inverted bounds, ragged rows, or duplicate labels; the message names the
@@ -423,9 +429,12 @@ def parse_interval_csv(text: str) -> IntervalMatrix:
     return IntervalMatrix(tuple(rows), layout.cols, lo, hi)
 
 
-def _interval_layout(header: list[str]) -> _Layout:
+def _interval_layout(header: list[str], first: list[str] | None) -> _Layout:
     names = _header_names(header)
-    if not all(_PAIR_RE.match(n) for n in names):
+    # The writer puts bracket cells under any names, .lo/.hi ones included:
+    # a bracket cell first in the first record rules the paired layout out.
+    written = first is not None and len(first) > 1 and _CELL_RE.match(first[1])
+    if written or not all(_PAIR_RE.match(n) for n in names):
         per_row = 2 * len(names)
         return _Layout(
             tuple(names),
@@ -459,8 +468,9 @@ def _field(text: str, quote: bool = False) -> str:
 
 
 def write_interval_csv(table: IntervalMatrix) -> str:
-    """Serialize to the bracket-cell CSV grammar; reparsing is exact unless
-    every column name ends in ``.lo``/``.hi`` (the paired layout's header).
+    """Serialize to the bracket-cell CSV grammar; reparsing is exact, except
+    for a table with no rows whose every column name ends in ``.lo``/``.hi``,
+    which reads back as the paired layout.
 
     A header with a CR in a name has every field quoted. A cell holds a
     comma, so it is quoted; ``repr`` is the shortest float text that parses
@@ -530,14 +540,17 @@ def parse_classic_csv(
     DataError.
     """
     layout, (rows, labels, values) = _read_table(
-        text, partial(_classic_layout, concept=concept, exclude=set(exclude))
+        text, partial(_classic_layout, concept=concept, exclude=_name_set(exclude, "exclude"))
     )
     return ClassicTable(
         tuple(rows), layout.cols, values, concept=concept, concept_labels=tuple(labels)
     )
 
 
-def _classic_layout(header: list[str], concept: str | None, exclude: set[str]) -> _Layout:
+def _classic_layout(
+    header: list[str], first: list[str] | None, concept: str | None, exclude: set[str]
+) -> _Layout:
+    """The layout the header gives; the first record does not change it."""
     names = _header_names(header)
     _check_labels(names, "column")
     if concept is not None and concept not in names:

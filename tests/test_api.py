@@ -196,3 +196,10 @@ def test_entry_point_refuses_bad_argument(good, call, kind):
     call(good)
     with pytest.raises(sympca.DataError):
         call(_spoiled(good, kind))
+
+
+def test_one_string_is_not_column_names(oils):
+    # Its characters would otherwise be taken for the names ('G', 'R', 'A').
+    with pytest.raises(sympca.DataError) as info:
+        oils.without_columns("GRA")
+    assert str(info.value) == "names must be a collection of column names, not the string 'GRA'"
