@@ -231,18 +231,23 @@ def vertex_extremes(low, high, weight) -> tuple[float, float]:
     ``high`` (2**n vertices, n capped at ``VERTEX_ENUM_LIMIT``), projects
     each vertex onto ``weight`` and returns the observed ``(min, max)``.
     """
-    bounds = BoundsPair([low], [high])
-    w = _finite_array(weight, "weight", ndim=None).ravel()
-    n = bounds.shape[1]
-    if n != w.size:
+    lo = _finite_array(low, "low", ndim=1)
+    hi = _finite_array(high, "high", ndim=1)
+    w = _finite_array(weight, "weight", ndim=1)
+    n = lo.size
+    if hi.size != n:
+        raise DataError(f"bound lengths differ: {n} lows vs {hi.size} highs")
+    if np.any(lo > hi):
+        i = int(np.argmax(lo > hi))
         raise DataError(
-            f"length mismatch: {n} intervals vs {w.size} weights"
+            f"lower bound exceeds upper bound at index {i}: {float(lo[i])!r} > {float(hi[i])!r}"
         )
+    if n != w.size:
+        raise DataError(f"length mismatch: {n} intervals vs {w.size} weights")
     if n > VERTEX_ENUM_LIMIT:
         raise DataError(
             f"vertex enumeration limited to {VERTEX_ENUM_LIMIT} dimensions, got {n}"
         )
-    lo, hi = bounds.low[0], bounds.high[0]
     shifts = np.arange(n, dtype=np.uint64)
     best_min = np.inf
     best_max = -np.inf

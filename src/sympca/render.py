@@ -82,6 +82,8 @@ class PlotSpec:
             raise DataError("axis_x and axis_y must differ")
         if self.axis_x < 1 or self.axis_y < 1:
             raise DataError("component indices are 1-based and positive")
+        if not isinstance(self.title, str):
+            raise DataError(f"title must be a string, got {self.title!r}")
 
 
 def _axis_columns(table: IntervalMatrix, spec: PlotSpec) -> tuple[int, int]:

@@ -50,9 +50,9 @@ _QUOTE_RE = re.compile(r'[,"\r\n]')  # a written field holding one is quoted
 # small so that the last one either process converts is short (see _in_two).
 _BLOCK = 1 << 18
 
-# At most this many tickets are queued for a forked helper: at 4 bytes each
-# they fill one page, the least a pipe holds (pipe(7)), so writing them all
-# before anything reads them cannot block.
+# At most this many row blocks make a job, each queued as one ticket for a
+# forked helper: at 4 bytes each they fill one page, the least a pipe holds
+# (pipe(7)), so writing them all before anything reads them cannot block.
 _TICKETS = 1024
 
 _fork = getattr(os, "fork", None)  # None on Windows
@@ -74,84 +74,78 @@ def _tickets(queue: int) -> Iterator[int]:
         yield int.from_bytes(ticket, "little")
 
 
-def _in_two(work: Callable[[int, int], list | None], count: int) -> list | None:
-    """``work(0, count)`` for a job of ``count`` row blocks, done as
-    ``work`` over runs of consecutive blocks joined in order; None when any
-    run is None.
+def _in_two(work: Callable[[int], object], count: int) -> list | None:
+    """``[work(0), ..., work(count - 1)]`` for a job of ``count`` row blocks,
+    at most ``_TICKETS``; None when any block's work is None.
 
     With two or more blocks, ``os.fork``, two usable CPUs and no other
     Python thread (a forked child could block on a lock another thread
-    held), the runs, one block each up to ``_TICKETS`` blocks, are queued as
-    tickets in a pipe before a helper is forked. This process and the helper
-    each take the next ticket until none is left, so the faster of the two
-    converts more. The helper then sends its runs, by ticket, through a
-    second pipe and leaves by ``os._exit``; one that meets a rejected run
-    takes the tickets left and leaves at once. The thread check is
-    ``threading.active_count()``, which counts only threads that
-    ``threading`` knows of: native threads, such as the one OpenBLAS starts
-    besides the main thread when numpy loads it on two cores, do not count.
-    Any run the helper does not deliver (it failed, died, met a rejected
-    run, or sent a short pickle, which does not load) is converted here, in
-    order, so the outcome, values and first error alike, is that of one
-    process. No helper outlives the call.
+    held), the blocks are queued as tickets in a pipe before a helper is
+    forked. This process and the helper each take the next ticket until
+    none is left, so the faster of the two converts more. The helper then
+    sends its blocks, by ticket, through a second pipe and leaves by
+    ``os._exit``; one that meets a rejected block takes the tickets left and
+    leaves at once. The thread check is ``threading.active_count()``, which
+    counts only threads that ``threading`` knows of: native threads, such
+    as the one OpenBLAS starts besides the main thread when numpy loads it
+    on two cores, do not count. Any block the helper does not deliver (it
+    failed, died, met a rejected block, or sent a short pickle, which does
+    not load) is converted here, in order, so the outcome, values and first
+    error alike, is that of one process. No helper outlives the call.
     """
-    if count < 2 or _fork is None or _usable_cpus() < 2 or threading.active_count() > 1:
-        return work(0, count)
-    tickets = min(count, _TICKETS)
-    runs = [(t * count // tickets, (t + 1) * count // tickets) for t in range(tickets)]
-    queue, fill = os.pipe()
-    os.write(fill, b"".join(t.to_bytes(4, "little") for t in range(tickets)))
-    os.close(fill)
-    read, write = os.pipe()
-    pid = _fork()
-    if pid == 0:  # the helper
-        code = 1
-        try:
-            os.close(read)
-            done = {}
-            for ticket in _tickets(queue):
-                done[ticket] = work(*runs[ticket])
-                if done[ticket] is None:  # so this process stops taking runs
-                    while os.read(queue, 4096):
-                        pass
-                    break
-            else:
-                _send(write, done)
-                code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
     done = {}
-    data = None
-    try:
-        with open(read, "rb") as pipe:
-            for ticket in _tickets(queue):
-                done[ticket] = work(*runs[ticket])
-                if done[ticket] is None:
-                    return None
-            data = pipe.read()
-    finally:
-        os.close(queue)
+    if count > 1 and _fork is not None and _usable_cpus() > 1 and threading.active_count() == 1:
+        queue, fill = os.pipe()
+        os.write(fill, b"".join(t.to_bytes(4, "little") for t in range(count)))
+        os.close(fill)
+        read, write = os.pipe()
+        pid = _fork()
+        if pid == 0:  # the helper
+            code = 1
+            try:
+                os.close(read)
+                for ticket in _tickets(queue):
+                    done[ticket] = work(ticket)
+                    if done[ticket] is None:  # so this process stops taking blocks
+                        while os.read(queue, 4096):
+                            pass
+                        break
+                else:
+                    _send(write, done)
+                    code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        data = None
         try:
-            if data is None:  # the helper's runs are not needed, or this process failed
-                from signal import SIGKILL  # here: `import sympca` does not load signal
+            with open(read, "rb") as pipe:
+                for ticket in _tickets(queue):
+                    done[ticket] = work(ticket)
+                    if done[ticket] is None:
+                        return None
+                data = pipe.read()
+        finally:
+            os.close(queue)
+            try:
+                if data is None:  # the helper's blocks are not needed, or this process failed
+                    from signal import SIGKILL  # here: `import sympca` does not load signal
 
-                os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):  # SIGCHLD ignored: the kernel reaps
+                    os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # SIGCHLD ignored: the kernel reaps
+                pass
+        try:
+            done = pickle.loads(data) | done
+        except (pickle.UnpicklingError, EOFError):
             pass
-    try:
-        done = pickle.loads(data) | done
-    except (pickle.UnpicklingError, EOFError):
-        pass
     parts = []
-    for ticket, run in enumerate(runs):
+    for ticket in range(count):
         part = done.get(ticket)
         if part is None:
-            part = work(*run)
+            part = work(ticket)
             if part is None:
                 return None
-        parts += part
+        parts.append(part)
     return parts
 
 
@@ -212,11 +206,13 @@ def _header(text: str) -> tuple[list[str] | None, int, list[str] | None]:
 
 def _row_blocks(text: str, start: int) -> list[tuple[int, int]]:
     """The spans of ``text[start:]`` in blocks of about ``_BLOCK``
-    characters, each ending after a line end or at the end of the text; at
-    least one block, empty when the text ends at ``start``."""
+    characters, or of a ``_TICKETS``-th of it where that is more, each
+    ending after a line end or at the end of the text; at least one block,
+    empty when the text ends at ``start``."""
+    size = max(_BLOCK, -(-(len(text) - start) // _TICKETS))
     spans = []
     while True:
-        end = text.find("\n", start + _BLOCK) + 1 or len(text)
+        end = text.find("\n", start + size) + 1 or len(text)
         spans.append((start, end))
         if end == len(text):
             return spans
@@ -300,19 +296,14 @@ def _fast_table(
     limit = csv.field_size_limit()
     spans = _row_blocks(text, start)
 
-    def convert(first: int, last: int) -> list[tuple] | None:
-        parts = []
-        for begin, end in spans[first:last]:
-            # The non-empty lines (the reader drops empty records). Only
-            # "\n" ends a line: str.splitlines() would also break at
-            # characters the reader keeps in a field ("\x1c", "\x85", "\u2028").
-            lines = list(filter(None, text[begin:end].split("\n")))
-            tokens = max(map(len, lines), default=0) <= limit and split(lines, width)
-            part = tokens and layout.convert(*tokens)
-            if not part:
-                return None
-            parts.append(part)
-        return parts
+    def convert(block: int) -> tuple | None:
+        begin, end = spans[block]
+        # The non-empty lines (the reader drops empty records). Only "\n"
+        # ends a line: str.splitlines() would also break at characters the
+        # reader keeps in a field ("\x1c", "\x85", "\u2028").
+        lines = list(filter(None, text[begin:end].split("\n")))
+        tokens = max(map(len, lines), default=0) <= limit and split(lines, width)
+        return layout.convert(*tokens) if tokens else None
 
     parts = _in_two(convert, len(spans))
     return None if parts is None else (layout, parts)
@@ -478,20 +469,21 @@ def write_interval_csv(table: IntervalMatrix) -> str:
     header = ("", *table.cols)
     whole = any("\r" in name for name in header)
     head = ",".join([_field(name, whole) for name in header])
-    # Equal row blocks of _BLOCK to 2 * _BLOCK characters, taking a cell for 48.
+    # Equal row blocks of _BLOCK to 2 * _BLOCK characters, taking a cell for
+    # 48, at most _TICKETS of them.
     m = len(table.rows)
-    blocks = max(1, min(m, m * (48 * len(table.cols) + 16) // _BLOCK))
+    blocks = max(1, min(m, _TICKETS, m * (48 * len(table.cols) + 16) // _BLOCK))
     step = -(-m // blocks)
 
-    def records(first: int, last: int) -> list[str]:
-        rows = slice(first * step, last * step)
+    def records(block: int) -> str:
+        rows = slice(block * step, (block + 1) * step)
         out: list[str] = []
         for name, lows, highs in zip(
             table.rows[rows], table.lo[rows].tolist(), table.hi[rows].tolist()
         ):
             cells = "".join([f',"[{a!r},{b!r}]"' for a, b in zip(lows, highs)])
             out.append(_field(name) + cells + "\n")
-        return ["".join(out)]
+        return "".join(out)
 
     return "".join([head, "\n", *_in_two(records, blocks)])
 
@@ -555,9 +547,10 @@ def _classic_layout(
     _check_labels(names, "column")
     if concept is not None and concept not in names:
         raise DataError(f"concept column {concept!r} not found")
-    unknown = (exclude - set(names)) | (exclude & {concept})
+    unknown = sorted((exclude - set(names)) | (exclude & {concept}))
     if unknown:
-        raise DataError(f"no column named {sorted(unknown)[0]!r}")
+        raise DataError(f"cannot exclude the concept column {concept!r}" if unknown[0] == concept
+                        else f"no column named {unknown[0]!r}")
     gone = [j for j, name in enumerate(names) if name == concept or name in exclude]
     data_idx = [j for j in range(len(names)) if j not in gone]
     if not data_idx:

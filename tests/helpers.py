@@ -3,6 +3,8 @@ sign-alignment helpers for comparing against published orientations."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from sympca import IntervalMatrix
@@ -93,3 +95,88 @@ def interval_tables_close(
     return (
         np.abs(a.lo - b.lo).max() <= atol and np.abs(a.hi - b.hi).max() <= atol
     )
+
+
+# ---------------------------------------------------------------------------
+# Tables at the numeric edges of standardization, each with what standardize
+# does and what the routes (pca_zzt, pca_ztz, pca_auto and `sympca pca`) do:
+# the exact DataError message, or ANSWERED. test_pca.py and test_cli.py run
+# every row; README "Numerical conventions" states the rules they follow.
+# ---------------------------------------------------------------------------
+
+ANSWERED = "answered"
+WIDTHS = ("column 'x' is too large in magnitude to standardize: its interval widths "
+          "overflow when standardized")
+RADII = ("column 'x' is too large in magnitude for interval PCA: its interval radii "
+         "overflow when projected onto the components")
+CONSTANT = "column 'flat' is constant (zero variance); it cannot be standardized"
+ONE_ROW = "need at least 2 rows to standardize, got 1"
+
+
+def cells(**columns) -> IntervalMatrix:
+    """A table of the named columns of cells, rows r0, r1, ...: a number
+    is a degenerate cell, a pair its bounds."""
+    bounds = np.array([[c if isinstance(c, tuple) else (c, c) for c in column]
+                       for column in columns.values()], dtype=float)
+    return IntervalMatrix(tuple(f"r{i}" for i in range(bounds.shape[1])), tuple(columns),
+                          bounds[..., 0].T, bounds[..., 1].T)
+
+
+class Edge(NamedTuple):
+    table: IntervalMatrix
+    standardize: str = ANSWERED  # its DataError message, or ANSWERED
+    routes: str = ANSWERED  # likewise, for each route and `sympca pca`
+
+
+_Y = (1, 3, 2, 4, 5, 6, 7, 8, 9)
+_TINY, _HUGE = np.ldexp(0.9, -997), np.ldexp(0.6, 28)
+EDGES = {
+    # The midpoint variance of x overflows; x is scaled by 2**-667 first.
+    "overflow": Edge(cells(x=(1e200, 2e200, 4e200), y=_Y[:3])),
+    # The midpoint std is finite, but one wide cell's radius is not.
+    "bounds-overflow": Edge(cells(x=(0, 1e-150, (-1e308, 1e308)), y=_Y[:3]), WIDTHS, WIDTHS),
+    # The midpoints differ, yet their squared deviations underflow: the
+    # column is scaled by 2**997 first.
+    "variance-underflow": Edge(cells(x=(0, 5e-301, 0), y=_Y[:3])),
+    # Both bounds standardize to a finite ±9.2e307, but their width does not.
+    "width-overflow": Edge(cells(x=(0, 1e-150, 0, (-8e157, 8e157)), y=_Y[:4]), WIDTHS, WIDTHS),
+    # The variance, 1.2e-321, is subnormal: unscaled, z's column had norm
+    # 1.00102 and pca_auto an eigenvalue of 2.00204 for a trace of 2.
+    "variance-subnormal": Edge(cells(x=(0, -6.8218e-161), y=_Y[:2])),
+    "variance-subnormal-other-y": Edge(cells(c1=(0, -6.8218e-161), c2=(-446.73, -173.39))),
+    # The midpoint of [0, 5e-324], 2**-1075, rounds to 0, but x is not
+    # constant: the range test and the exponent read lo + hi. λ = (1, 1).
+    "midpoint-rounds-to-zero": Edge(cells(x=(0, 0, (0, 5e-324)), y=_Y[:3])),
+    # The variance of x is zero or infinite, and at 1.7e308 so is lo + hi;
+    # scaled by 2**-e, e the exponent of its largest |midpoint|, x
+    # standardizes as any column does.
+    "least-subnormal": Edge(cells(x=(0, 5e-324), y=_Y[:2])),
+    "subnormals": Edge(cells(x=(1e-320, 3e-320), y=_Y[:2])),
+    "sum-overflow": Edge(cells(x=(1.7e308, -1.7e308, 0), y=_Y[:3])),
+    # The widths standardize to a finite 1.3e308; sqrt(9) times the radii
+    # does not. At m = 4 that product is the width, which standardize
+    # checks, so the table needs m > 4.
+    "scaled-radius-overflow": Edge(cells(x=(0, 1e-150, *[0] * 6, (-6.1e157, 6.1e157)), y=_Y),
+                                   routes=RADII),
+    # sqrt(4) times each radius is finite, but the row's sum over two such
+    # columns in the score product is not; w's cell is a little narrower.
+    "projected-radius-overflow": Edge(
+        cells(x=(0, 1e-150, 0, (-7.5e157, 7.5e157)), w=(0, 1e-150, 0, (-7.425e157, 7.425e157)),
+              y=[(i, i + 1) for i in range(4)]),
+        routes=RADII),
+    # x's midpoint variance underflows. Scaled by 2**997, the exponent of its
+    # largest |midpoint|, the cell ±0.6·2**28 would overflow; 2**995 keeps
+    # every bound finite, and 2r is finite, so standardize answers. sqrt(16)
+    # times the radius is not.
+    "capped-scale": Edge(cells(x=(*[_TINY * (-1) ** i for i in range(15)], (-_HUGE, _HUGE)),
+                               y=[(i, i + 1) for i in range(16)]),
+                         routes=RADII),
+    # The variance underflows, and the bound 1.5e308 caps the scale at 2**0:
+    # no scale helps, and 2r overflows.
+    "unit-scale": Edge(cells(x=(0, 1e-300, (-1.5e308, 1.5e308)), y=_Y[:3]), WIDTHS, WIDTHS),
+    # hi - lo overflows for the cell [-1e308, 1e308], but its standardized
+    # width, 1.4e158, does not: the radius is (hi/2 - lo/2)·s, the same value.
+    "hi-lo-overflow": Edge(cells(x=(1e150, -1e150, (-1e308, 1e308)), y=_Y[:3])),
+    "constant": Edge(cells(flat=(1, 1), x=((0, 1), (2, 3))), CONSTANT, CONSTANT),
+    "one-row": Edge(cells(a=((0, 1),)), ONE_ROW, ONE_ROW),
+}

@@ -137,7 +137,7 @@ def test_bench_medians_match_statistics(zzt, ztz):
 
 
 def _entry_points():
-    """Each public array or integer argument: a valid value, and a call taking
+    """Each public array, integer or text argument: a valid value, and a call taking
     the argument in that place, with the argument's name as id."""
     two = np.array([[2.0, 1.0], [1.0, 2.0]])
     pair = sympca.BoundsPair(two - 1.0, two)
@@ -162,6 +162,7 @@ def _entry_points():
         ("dual_transport-lam", weight, lambda a: sympca.dual_transport(np.eye(2), np.eye(2), a)),
         ("PlotSpec-axis_x", 1, lambda k: sympca.PlotSpec(k, 2)),
         ("PlotSpec-axis_y", 2, lambda k: sympca.PlotSpec(1, k)),
+        ("PlotSpec-title", "", lambda title: sympca.PlotSpec(title=title)),
         ("flip_component", 0, lambda k: sympca.flip_component(result, k)),
         ("pca_zzt-q", 2, lambda q: sympca.pca_zzt(oils, q)),
         ("pca_ztz-q", 2, lambda q: sympca.pca_ztz(oils, q)),
@@ -191,8 +192,8 @@ def _spoiled(good, kind):
 @pytest.mark.parametrize("good, call", _entry_points())
 def test_entry_point_refuses_bad_argument(good, call, kind):
     # Every public array is checked for rank and finiteness, every index for
-    # being an integer; each refusal is a DataError, never garbage or a
-    # numpy error.
+    # being an integer, a title for being a string; each refusal is a
+    # DataError, never garbage or a numpy error.
     call(good)
     with pytest.raises(sympca.DataError):
         call(_spoiled(good, kind))

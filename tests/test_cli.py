@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 import sympca
+from helpers import ANSWERED, EDGES, cells
 from sympca import (
     IntervalMatrix,
     NumericError,
@@ -162,11 +163,18 @@ def _close_to_ztz(where: Path) -> bool:
         np.abs(np.subtract(a, b)).max() <= 1e-9 for a, b in pairs)
 
 
-def _edge(*cells: str) -> dict:
-    """A bracket table whose column x holds ``cells`` and y the values 1, 3, 2, 4, 5, ..."""
-    return {"edge.csv": ",x,y\n" + "".join(
-        f'{label},"{cell}","[{y},{y}]"\n'
-        for label, cell, y in zip("abcdefghi", cells, (1, 3, 2, 4, 5, 6, 7, 8, 9)))}
+EDGE_ROWS: list[str] = []  # the EDGES rows a case runs: every one
+
+
+def _pca_of(row: str) -> Case:
+    """``sympca pca`` of an EDGES row: exit 0 and one line of JSON where the
+    routes answer, else exit 2 and their message."""
+    EDGE_ROWS.append(row)
+    files = {"edge.csv": lambda: write_interval_csv(EDGES[row].table)}
+    message = EDGES[row].routes
+    if message == ANSWERED:
+        return Case("pca --input edge.csv --output o.json", files, check=_json)
+    return Case("pca --input edge.csv --output o.json", files, 2, f"error: {message}\n")
 
 
 CLASSIC = ",state,fold,x,y\n1,CA,1,0.1,10\n2,CA,2,0.5,30\n3,NV,1,0.2,20\n"
@@ -232,12 +240,13 @@ class TestAggregate:
         _aggregate(), {"in.csv": RECORDS_R}, check=_equals("out.csv", CONCEPTS),
     ))
     # The --by column is not a data column of the aggregated table, so naming
-    # it is an error like any other unknown name; an unknown name fails on the
-    # column, not on the text of an excluded one.
+    # it is an error, which says so; an unknown name fails on the column, not
+    # on the text of an excluded one.
     test_exclude_unknown_or_concept_column_is_2 = cli_test({
         name: Case(_aggregate(f"--by state --exclude-cols fold,{name}"),
-                   {"in.csv": CLASSIC_TEXT_FOLD}, 2, f"error: no column named {name!r}\n")
-        for name in ("nosuch", "state")
+                   {"in.csv": CLASSIC_TEXT_FOLD}, 2, f"error: {message}\n")
+        for name, message in [("nosuch", "no column named 'nosuch'"),
+                              ("state", "cannot exclude the concept column 'state'")]
     })
     test_exclude_every_data_column_is_2 = cli_test(Case(
         _aggregate("--by state --exclude-cols note,x,y"), {"in.csv": RECORDS}, 2,
@@ -319,7 +328,8 @@ class TestPlotCommands:
     # Scores reach about 1e305: no overflow warning, and finite coordinates.
     test_plane_of_huge_scores = cli_test(Case(
         "plot-plane --input edge.csv --output o.svg",
-        _edge("[0,0]", "[1e-150,1e-150]", "[0,0]", "[-1e155,1e155]"), check=_svg,
+        {"edge.csv": lambda: write_interval_csv(cells(x=(0, 1e-150, 0, (-1e155, 1e155)),
+                                                      y=(1, 3, 2, 4)))}, check=_svg,
     ))
     test_label_xml_cannot_hold_is_2 = cli_test(Case(
         "plot-plane --input control.csv --output o.svg",
@@ -374,42 +384,12 @@ class TestExitCodes:
         {"wide.csv": lambda: ",state,x\n1,CA,0.5\n2,CA," + "1" * (LIMIT + 1) + "\n"}, 2,
         f"error: unreadable CSV at line 3: field larger than field limit ({LIMIT})\n",
     ))
-    # The midpoint variance of x overflows; x is scaled by a power of two
-    # first, so the table is answered with a one-line result.
-    test_overflowing_column_is_2 = cli_test(Case(
-        "pca --input edge.csv --output o.json",
-        _edge("[1e200,1e200]", "[2e200,2e200]", "[4e200,4e200]"),
-        check=lambda d: bool(_json(d)["eigenvalues"]),
-    ))
-    # A column at a numeric edge exits 2 naming it, or is answered (exit 0)
-    # with a one-line result.
-    test_unstandardizable_column_is_2 = cli_test({
-        id_: Case("pca --input edge.csv --output o.json", files, 2 if message else 0,
-                  f"error: column 'x' {message}\n" if message else "",
-                  check=None if message else _json)
-        for id_, files, message in [
-            ("bounds-overflow", _edge("[0,0]", "[1e-150,1e-150]", "[-1e308,1e308]"),
-             "is too large in magnitude to standardize: its interval widths overflow "
-             "when standardized"),
-            # The variance underflows to zero: answered once x is scaled.
-            ("variance-underflow", _edge("[0,0]", "[5e-301,5e-301]", "[0,0]"), None),
-            ("width-overflow", _edge("[0,0]", "[1e-150,1e-150]", "[0,0]", "[-8e157,8e157]"),
-             "is too large in magnitude to standardize: its interval widths overflow "
-             "when standardized"),
-            # The variance is subnormal: answered once x is scaled.
-            ("variance-subnormal", _edge("[0,0]", "[-6.8218e-161,-6.8218e-161]"), None),
-            ("variance-subnormal-other-y", {"edge.csv": (
-                ',c1,c2\na,"[0,0]","[-446.73,-446.73]"\n'
-                'b,"[-6.8218e-161,-6.8218e-161]","[-173.39,-173.39]"\n')}, None),
-            # hi - lo overflows; the standardized widths do not.
-            ("hi-lo-overflow", _edge("[1e150,1e150]", "[-1e150,-1e150]", "[-1e308,1e308]"), None),
-            # Standardizes, but sqrt(9) times the last radius overflows the scores.
-            ("scaled-radius-overflow",
-             _edge("[0,0]", "[1e-150,1e-150]", *["[0,0]"] * 6, "[-6.1e157,6.1e157]"),
-             "is too large in magnitude for interval PCA: its interval radii overflow "
-             "when projected onto the components"),
-        ]
-    })
+    # The tables at the numeric edges are the rows of EDGES (helpers.py).
+    test_overflowing_column_is_2 = cli_test(_pca_of("overflow"))
+    test_unstandardizable_column_is_2 = cli_test({row: _pca_of(row) for row in [
+        "bounds-overflow", "variance-underflow", "width-overflow", "variance-subnormal",
+        "variance-subnormal-other-y", "hi-lo-overflow", "scaled-radius-overflow"]})
+    test_other_edge_rows = cli_test({row: _pca_of(row) for row in EDGES if row not in EDGE_ROWS})
     test_invalid_q_is_1 = cli_test({
         f"{q}-{message}-{command}": Case(f"{command} --input oils.csv --output o.out --q {q}",
                                          code=1, err=f"error: argument --q: {message}\n")

@@ -28,7 +28,7 @@ class TestInterval:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(DataError) as info:
             vertex_extremes(np.array([2.0]), np.array([1.0]), [1.0])
-        assert str(info.value) == "lower bound exceeds upper bound at (0, 0): 2.0 > 1.0"
+        assert str(info.value) == "lower bound exceeds upper bound at index 0: 2.0 > 1.0"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_rejected(self, bad):
@@ -259,10 +259,26 @@ class TestVertexExtremes:
         assert vertex_extremes(np.zeros(0), np.zeros(0), []) == (0.0, 0.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(DataError, match="length mismatch"):
+        with pytest.raises(DataError) as info:
             vertex_extremes(np.zeros(1), np.ones(1), [1.0, 2.0])
-        with pytest.raises(DataError, match="bound shapes differ"):
-            vertex_extremes(np.zeros(1), np.ones(2), [1.0])
+        assert str(info.value) == "length mismatch: 1 intervals vs 2 weights"
+        with pytest.raises(DataError) as info:
+            vertex_extremes(np.zeros(2), np.ones(3), [1.0, 2.0])
+        assert str(info.value) == "bound lengths differ: 2 lows vs 3 highs"
+
+    @pytest.mark.parametrize("low, high, weight, message", [
+        (np.zeros((2, 2)), np.ones(2), [1.0, 1.0], "low must be 1-D, got shape (2, 2)"),
+        (np.zeros(2), np.ones((1, 2)), [1.0, 1.0], "high must be 1-D, got shape (1, 2)"),
+        (np.zeros(4), np.ones(4), np.ones((2, 2)), "weight must be 1-D, got shape (2, 2)"),
+        ([0.0, 3.0], [1.0, 2.0], [1.0, 1.0],
+         "lower bound exceeds upper bound at index 1: 3.0 > 2.0"),
+    ], ids=["2-D low", "2-D high", "2-D weight", "inverted"])
+    def test_arguments_checked_as_given(self, low, high, weight, message):
+        # Each argument is one 1-D array, not a row of a matrix or a
+        # flattened one.
+        with pytest.raises(DataError) as info:
+            vertex_extremes(low, high, weight)
+        assert str(info.value) == message
 
     def test_enumeration_guard(self):
         with pytest.raises(DataError, match="enumeration limited"):

@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -13,13 +14,17 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ANSWERED,
+    EDGES,
     OILS_CENTER_CORR,
     OILS_CORR_HI,
     OILS_CORR_LO,
     OILS_SCORES_HI,
     OILS_SCORES_LO,
+    Edge,
     aligned_interval_error,
     aligned_matrix_error,
+    cells,
 )
 from sympca import (
     BoundsPair,
@@ -46,39 +51,76 @@ def _degenerate(table: IntervalMatrix) -> IntervalMatrix:
     return IntervalMatrix(table.rows, table.cols, mids, mids)
 
 
-def _edge_table(mids, lo=None, hi=None) -> IntervalMatrix:
-    """Column x of degenerate cells at ``mids`` (its last cell [lo, hi] when
-    given) beside a column y of (1, 3, 2, 4, ...)."""
-    low = np.column_stack([mids, (1.0, 3.0, 2.0, 4.0)[:len(mids)]])
-    high = low.copy()
-    if lo is not None:
-        low[-1, 0], high[-1, 0] = lo, hi
-    return IntervalMatrix(("r", "s", "t", "u")[:len(mids)], ("x", "y"), low, high)
+_ARRAYS = ("eigenvalues", "loadings_u", "axes_v", "center_scores", "center_correlations",
+           "scores.lo", "scores.hi", "correlations.lo", "correlations.hi")
+EDGES_RUN: list[str] = []  # the EDGES rows an edge_test runs: every one
 
 
-def _capped_scale_table() -> IntervalMatrix:
-    """16 rows: column x of degenerate cells at ±0.9·2**-997, its last cell
-    [-0.6·2**28, 0.6·2**28], beside a column y of cells [i, i + 1]."""
-    m = 16
-    low = np.column_stack([np.ldexp(0.9, -997) * (-1.0) ** np.arange(m),
-                           np.arange(m, dtype=float)])
-    high = low + [0.0, 1.0]
-    low[-1, 0], high[-1, 0] = -np.ldexp(0.6, 28), np.ldexp(0.6, 28)
-    return IntervalMatrix(tuple(f"r{i}" for i in range(m)), ("x", "y"), low, high)
-
-
-def _assert_answered(table: IntervalMatrix) -> None:
-    """standardize and both routes answer without a warning, and z's columns
-    have zero mean and unit norm inside the box standardize returns."""
+def _run_edge(edge: Edge) -> None:
+    """standardize, pca_zzt, pca_ztz and pca_auto of the row's table, warnings
+    as errors: each raises the row's DataError message, whole, or answers.
+    Answered, z's columns have zero mean and unit norm inside the finite box
+    standardize returns; the routes' scores are finite, and the two routes
+    agree, relative to each array's largest magnitude, wherever every
+    eigengap is at least 1e-8·λ₁ (within a tie any basis is as valid)."""
+    got = {}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bundle = standardize(table)
-        for pca in (pca_zzt, pca_ztz):
-            assert np.all(np.isfinite(pca(table).scores.hi))
-    assert np.abs(np.linalg.norm(bundle.z, axis=0) - 1.0).max() <= 1e-15
-    assert np.abs(bundle.z.sum(axis=0)).max() <= 1e-15
-    assert np.all(bundle.bounds.low <= bundle.z)
-    assert np.all(bundle.z <= bundle.bounds.high)
+        for call in (standardize, pca_zzt, pca_ztz, pca_auto):
+            try:
+                got[call] = call(edge.table)
+            except DataError as exc:
+                got[call] = str(exc)
+    assert [o if isinstance(o, str) else ANSWERED for o in got.values()] == [
+        edge.standardize, edge.routes, edge.routes, edge.routes]
+    if edge.standardize == ANSWERED:
+        z, box = got[standardize].z, got[standardize].bounds
+        assert np.abs(np.linalg.norm(z, axis=0) - 1.0).max() <= 1e-15
+        assert np.abs(z.sum(axis=0)).max() <= 1e-15
+        assert np.isfinite(box.low).all() and np.isfinite(box.high).all()
+        assert np.all(box.low <= z) and np.all(z <= box.high)
+    if edge.routes == ANSWERED:
+        zzt, ztz = got[pca_zzt], got[pca_ztz]
+        assert np.isfinite(zzt.scores.hi).all() and np.isfinite(ztz.scores.hi).all()
+        for name in _ARRAYS if _gapped(zzt, 1e-8) else ():
+            a, b = attrgetter(name)(zzt), attrgetter(name)(ztz)
+            assert np.abs(a - b).max() <= 1e-9 * max(np.abs(a).max(), np.abs(b).max()), name
+
+
+def edge_test(rows: str | list[str], check=None):
+    """A test running one row of EDGES, then ``check`` of its table, or each
+    row of a list by id."""
+    if isinstance(rows, str):
+        EDGES_RUN.append(rows)
+
+        def test(self):
+            _run_edge(EDGES[rows])
+            if check:
+                check(EDGES[rows].table)
+        return test
+
+    EDGES_RUN.extend(rows)
+
+    @pytest.mark.parametrize("edge", [EDGES[row] for row in rows], ids=rows)
+    def test_each(self, edge):
+        _run_edge(edge)
+    return test_each
+
+
+def _scaled_bits(t: IntervalMatrix) -> None:
+    """pca_auto of ``t`` gives the bits of ``t`` with x times 2**-600."""
+    lo, hi = t.lo.copy(), t.hi.copy()
+    lo[:, 0], hi[:, 0] = np.ldexp(lo[:, 0], -600), np.ldexp(hi[:, 0], -600)
+    want = pca_auto(IntervalMatrix(t.rows, t.cols, lo, hi))
+    assert pca_auto(t).scores.lo.tobytes() == want.scores.lo.tobytes()
+
+
+def _radius_exact(t: IntervalMatrix) -> None:
+    """The radius of the last cell of x is exact, and spreads its scores."""
+    assert _standardize(t)[1][-1, 0] == 1e308 * _two_pass_scale(t)[1][0]
+    for pca in (pca_zzt, pca_ztz):
+        res = pca(t)
+        assert res.scores.hi[-1, 0] == -res.scores.lo[-1, 0] > 8e157
 
 
 @st.composite
@@ -142,116 +184,21 @@ class TestStandardize:
         expect = (mids - mids.mean(axis=0)) / (np.sqrt(m) * mids.std(axis=0, ddof=0))
         assert np.abs(b.z - expect).max() <= 1e-12
 
-    def test_overflowing_column_named_in_error(self):
-        # The midpoint variance of x overflows; x is scaled by 2**-667 first,
-        # so the table gives the same bits as x times 2**-600 does.
-        t = _edge_table((1e200, 2e200, 4e200))
-        _assert_answered(t)
-        lo, hi = t.lo.copy(), t.hi.copy()
-        lo[:, 0], hi[:, 0] = np.ldexp(lo[:, 0], -600), np.ldexp(hi[:, 0], -600)
-        want = pca_auto(IntervalMatrix(t.rows, t.cols, lo, hi))
-        assert pca_auto(t).scores.lo.tobytes() == want.scores.lo.tobytes()
-
-    @pytest.mark.parametrize("mids, lo, hi, match", [
-        # The midpoint std is finite, but one wide cell's radius is not.
-        ((0.0, 1e-150, 0.0), -1e308, 1e308,
-         "column 'x' is too large in magnitude to standardize: its interval "
-         "widths overflow when standardized"),
-        # The midpoints differ, yet their squared deviations underflow: the
-        # column is scaled by 2**997 first, and the table is answered.
-        ((0.0, 5e-301, 0.0), 0.0, 0.0, None),
-        # Both bounds standardize to a finite ±9.2e307, but their width does not.
-        ((0.0, 1e-150, 0.0, 0.0), -8e157, 8e157,
-         "column 'x' is too large in magnitude to standardize: its interval "
-         "widths overflow when standardized"),
-        # The variance, 1.2e-321, is subnormal: unscaled, z's column had norm
-        # 1.00102 and pca_auto an eigenvalue of 2.00204 for a trace of 2.
-        ((0.0, -6.8218e-161), -6.8218e-161, -6.8218e-161, None),
-        # The midpoint of [0, 5e-324], 2**-1075, rounds to 0, but x is not
-        # constant: the range test and the exponent read lo + hi.
-        ((0.0, 0.0, 0.0), 0.0, 5e-324, None),
-    ], ids=["bounds-overflow", "variance-underflow", "width-overflow",
-            "variance-subnormal", "midpoint-rounds-to-zero"])
-    def test_numeric_edge_named_in_error(self, mids, lo, hi, match):
-        # A table at a numeric edge is refused, naming the column, or (match
-        # None) answered once the column is scaled by a power of two.
-        t = _edge_table(mids, lo, hi)
-        if match is None:
-            _assert_answered(t)
-            return
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DataError, match=match):
-                standardize(t)
-            with pytest.raises(DataError, match=match):
-                pca_auto(t)
-
-    @pytest.mark.parametrize("mids", [
-        (0.0, 5e-324), (1e-320, 3e-320), (1.7e308, -1.7e308, 0.0),
-    ], ids=["least-subnormal", "subnormals", "sum-overflow"])
-    def test_column_out_of_range_answered(self, mids):
-        # The variance of x is zero or infinite, and at 1.7e308 so is lo + hi;
-        # scaled by 2**-e, e the exponent of its largest |midpoint|, x
-        # standardizes as any column does. test_overflowing_column_named_in_error
-        # and test_numeric_edge_named_in_error pin three more such tables.
-        _assert_answered(_edge_table(mids))
-
-    @pytest.mark.parametrize("m, cols, lo, hi", [
-        # The widths standardize to a finite 1.3e308; sqrt(9) times the radii
-        # does not. At m = 4 that product is the width, which standardize
-        # checks, so the case needs m > 4.
-        (9, ("x",), -6.1e157, 6.1e157),
-        # sqrt(4) times each radius is finite, but the row's sum over two
-        # such columns in the score product is not.
-        (4, ("x", "w"), -7.5e157, 7.5e157),
-    ], ids=["scaled-radius-overflow", "projected-radius-overflow"])
-    def test_score_radius_overflow_named_in_error(self, m, cols, lo, hi):
-        mids = np.zeros((m, len(cols)))
-        mids[1] = 1e-150
-        low = np.column_stack([mids, np.arange(m, dtype=float)])
-        high = low.copy()
-        high[:, -1] += 1.0
-        low[-1, :-1], high[-1, :-1] = lo, hi
-        # w's huge cell is a little narrower, so x holds the largest radius.
-        high[-1, 1:-1] *= 0.99
-        low[-1, 1:-1] *= 0.99
-        t = IntervalMatrix(tuple("abcdefghi")[:m], cols + ("y",), low, high)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            standardize(t)
-            with pytest.raises(DataError, match=(
-                "column 'x' is too large in magnitude for interval PCA: its "
-                "interval radii overflow when projected onto the components"
-            )):
-                pca_auto(t)
-
-    def test_bounds_cap_the_column_scale(self):
-        # x's midpoint variance underflows. Scaled by 2**997, the exponent of
-        # its largest |midpoint|, the cell ±0.6·2**28 would overflow; 2**995
-        # keeps every bound finite, and 2r is finite, so standardize answers.
-        # sqrt(16) times the radius is not, so pca_auto refuses.
-        t = _capped_scale_table()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            bounds = standardize(t).bounds
-            assert np.isfinite(bounds.low).all() and np.isfinite(bounds.high).all()
-            with pytest.raises(DataError, match=(
-                "column 'x' is too large in magnitude for interval PCA: its "
-                "interval radii overflow when projected onto the components"
-            )):
-                pca_auto(t)
-
-    def test_column_flagged_at_unit_scale_refused(self):
-        # The variance of midpoints 0, 1e-300, 0 underflows, and the bound
-        # 1.5e308 caps the scale at 2**0: no scale helps, and 2r overflows.
-        t = _edge_table((0.0, 1e-300, 0.0), -1.5e308, 1.5e308)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DataError, match=(
-                "column 'x' is too large in magnitude to standardize: its "
-                "interval widths overflow when standardized"
-            )):
-                standardize(t)
+    # The tables at the numeric edges are the rows of EDGES (helpers.py).
+    test_overflowing_column_named_in_error = edge_test("overflow", _scaled_bits)
+    test_numeric_edge_named_in_error = edge_test([
+        "bounds-overflow", "variance-underflow", "width-overflow", "variance-subnormal",
+        "midpoint-rounds-to-zero"])
+    test_column_out_of_range_answered = edge_test(["least-subnormal", "subnormals",
+                                                   "sum-overflow"])
+    test_score_radius_overflow_named_in_error = edge_test(["scaled-radius-overflow",
+                                                           "projected-radius-overflow"])
+    test_bounds_cap_the_column_scale = edge_test("capped-scale")
+    test_column_flagged_at_unit_scale_refused = edge_test("unit-scale")
+    test_radius_past_the_width_limit_answered = edge_test("hi-lo-overflow", _radius_exact)
+    test_constant_column_named_in_error = edge_test("constant")
+    test_needs_two_rows = edge_test("one-row")
+    test_other_edge_rows = edge_test([row for row in EDGES if row not in EDGES_RUN])
 
     def test_radii_exact_far_from_the_mean(self):
         # Cells 1e-3 to 2e-2 wide sit up to 2e7 widths from their column's
@@ -267,28 +214,6 @@ class TestStandardize:
         for (i, j), got in np.ndenumerate(radius):
             exact = (Fraction(t.hi[i, j]) - Fraction(t.lo[i, j])) * Fraction(scale[j]) / 2
             assert abs(Fraction(got) - exact) <= 2 * Fraction(np.finfo(float).eps) * exact, (i, j)
-
-    def test_radius_past_the_width_limit_answered(self):
-        # hi - lo overflows for the cell [-1e308, 1e308], but its standardized
-        # width, 1.4e158, does not: the radius is (hi/2 - lo/2)·s, the same value.
-        low = np.column_stack([(1e150, -1e150, 0.0), (1.0, 3.0, 2.0)])
-        high = low.copy()
-        low[-1, 0], high[-1, 0] = -1e308, 1e308
-        t = IntervalMatrix(("r", "s", "t"), ("x", "y"), low, high)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _standardize(t)[1][-1, 0] == 1e308 * _two_pass_scale(t)[1][0]
-            for pca in (pca_zzt, pca_ztz):
-                res = pca(t)
-                assert res.scores.hi[-1, 0] == -res.scores.lo[-1, 0] > 8e157
-
-    def test_constant_column_named_in_error(self):
-        t = IntervalMatrix(
-            ("r", "s"), ("flat", "x"),
-            [[1.0, 0.0], [1.0, 2.0]], [[1.0, 1.0], [1.0, 3.0]],
-        )
-        with pytest.raises(DataError, match="'flat'"):
-            standardize(t)
 
     @pytest.mark.parametrize("m", [2, 3, 7, 1000])
     @pytest.mark.parametrize("value", [
@@ -311,11 +236,6 @@ class TestStandardize:
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="column 'flat' is constant"):
                 standardize(t)
-
-    def test_needs_two_rows(self):
-        t = IntervalMatrix(("r",), ("a",), [[0.0]], [[1.0]])
-        with pytest.raises(DataError, match="at least 2 rows"):
-            standardize(t)
 
 
 class TestOilsGoldens:
@@ -526,9 +446,7 @@ class TestBitIdentity:
         for route, pca in (("zzt", pca_zzt), ("ztz", pca_ztz)):
             res = pca(table)
             for name, want in _reference_pca(table, route).items():
-                got = res
-                for part in name.split("."):
-                    got = getattr(got, part)
+                got = attrgetter(name)(res)
                 assert got.shape == want.shape, (route, name)
                 assert got.tobytes() == want.tobytes(), (route, name)
 
@@ -574,14 +492,14 @@ class TestPowerOfTwoScaling:
     # among midpoints near 0.03) moves z's last bits, so c0 is dyadic.
     @settings(deadline=None, max_examples=300)
     @given(_dyadic_column_tables(), st.integers(-2100, 2100))
-    @example(_edge_table((0.0, 5e-324)), 1074)
+    @example(EDGES["least-subnormal"].table, 1074)
     # The midpoint 2**-1075 of [0, 5e-324] rounds to 0; scaled, it is 0.5.
-    @example(_edge_table((0.0, 0.0, 0.0), 0.0, 5e-324), 1074)
-    @example(_edge_table((1e-320, 3e-320)), 1000)
-    @example(_edge_table((0.0, 5e-301, 0.0, 0.0)), 900)
-    @example(_edge_table((1.0, 2.0, 4.0, 0.0)), 1020)
+    @example(EDGES["midpoint-rounds-to-zero"].table, 1074)
+    @example(EDGES["subnormals"].table, 1000)
+    @example(cells(x=(0, 5e-301, 0, 0), y=(1, 3, 2, 4)), 900)
+    @example(cells(x=(1, 2, 4, 0), y=(1, 3, 2, 4)), 1020)
     # The bound ±0.6·2**28 caps the scale of x; pca_auto refuses both.
-    @example(_capped_scale_table(), 100)
+    @example(EDGES["capped-scale"].table, 100)
     def test_every_array_keeps_its_bits(self, table, k):
         scaled = _column_times_power_of_two(table, 0, k)
         assume(scaled is not None)
@@ -595,13 +513,8 @@ class TestPowerOfTwoScaling:
         if isinstance(res, str) or isinstance(other, str):
             assert res == other
             return
-        for name in ("eigenvalues", "loadings_u", "axes_v", "center_scores",
-                     "center_correlations", "scores.lo", "scores.hi",
-                     "correlations.lo", "correlations.hi"):
-            got, want = other, res
-            for part in name.split("."):
-                got, want = getattr(got, part), getattr(want, part)
-            assert got.tobytes() == want.tobytes(), name
+        for name in _ARRAYS:
+            assert attrgetter(name)(other).tobytes() == attrgetter(name)(res).tobytes(), name
 
 
 class TestPcaMemory:
@@ -646,11 +559,11 @@ class TestContainmentProperty:
         assert np.array_equal(res.correlations.hi, res.center_correlations)
 
 
-def _gapped(res) -> bool:
-    """Every kept eigenvalue lies at least 1e-3 * lam_1 above the next one
+def _gapped(res, by: float = 1e-3) -> bool:
+    """Every kept eigenvalue lies at least by * lam_1 above the next one
     (the last kept one above zero)."""
     lam = res.eigenvalues
-    return bool(np.all(-np.diff(np.append(lam, 0.0)) >= 1e-3 * lam[0]))
+    return bool(np.all(-np.diff(np.append(lam, 0.0)) >= by * lam[0]))
 
 
 def _relative_errors(res, other, corr_lo, corr_hi) -> tuple[float, float, float]:

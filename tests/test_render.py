@@ -54,6 +54,13 @@ class TestPlotSpec:
             f"component indices must be integers, got ({axis_x!r}, 2)"
         )
 
+    @pytest.mark.parametrize("title", [5, None, b"oils"])
+    def test_non_string_title_rejected(self, title):
+        # Else render_circle and render_plane fail with a TypeError.
+        with pytest.raises(DataError) as info:
+            PlotSpec(title=title)
+        assert str(info.value) == f"title must be a string, got {title!r}"
+
     def test_numpy_integer_axes_accepted(self, oils):
         spec = PlotSpec(np.int64(1), np.int64(2))
         assert render_plane(oils, spec) == render_plane(oils, PlotSpec())

@@ -70,12 +70,15 @@ LIMIT = csv.field_size_limit()
 
 # The three ways a text is read, as the tableio names each patches. A block
 # of one character ends at the first line end after it, so it holds one
-# record (and any blank lines before it). Forked (``forks`` gives two usable
-# CPUs), a helper converts every block but this process's first (``held``).
+# record (and any blank lines before it); a text of over 1024 characters
+# (a field over the csv limit) is cut so too once the cap of 1024 blocks is
+# lifted, and no case has more records than a pipe's page holds tickets.
+# Forked (``forks`` gives two usable CPUs), a helper converts every block
+# but this process's first (``held``).
 MODES = {
     "one block": {"_usable_cpus": lambda: 1},
-    "row blocks": {"_usable_cpus": lambda: 1, "_BLOCK": 1},
-    "forked": {"_BLOCK": 1},
+    "row blocks": {"_usable_cpus": lambda: 1, "_BLOCK": 1, "_TICKETS": 1 << 30},
+    "forked": {"_BLOCK": 1, "_TICKETS": 1 << 30},
 }
 PARSE_CASES: list[Case] = []  # the table: every case a parse_test runs
 
@@ -228,6 +231,10 @@ class TestParseClassicCsv:
     test_exclude_string_refused = parse_test(Case(
         ",a,note\nr,1,x\n", "exclude must be a collection of column names, not the string 'note'",
         partial(parse_classic_csv, exclude="note")))
+    # The file has the column: the message names why it cannot go.
+    test_exclude_concept_refused = parse_test(Case(
+        ",state,a\nr,CA,1\n", "cannot exclude the concept column 'state'",
+        partial(parse_classic_csv, concept="state", exclude=["state"])))
 
 
 class TestClassicTable:
@@ -685,7 +692,9 @@ def _reference_classic(text: str, concept: str | None, exclude=()):
     if concept is not None and concept not in names:
         return f"concept column {concept!r} not found"
     for name in sorted(exclude):
-        if name not in names or name == concept:
+        if name == concept:
+            return f"cannot exclude the concept column {name!r}"
+        if name not in names:
             return f"no column named {name!r}"
     data = [j for j, name in enumerate(names) if name != concept and name not in exclude]
     if not data:
@@ -1031,20 +1040,20 @@ def held(forks, monkeypatch) -> None:
         open_ends = [started, start, taken, took_last]
         waiting = [True]  # the helper's copy, until this process has started
 
-        def held_work(first: int, last: int) -> list | None:
+        def held_work(block: int) -> object:
             if os.getpid() != parent:
                 if waiting:
                     os.read(started, 1)
                     waiting.clear()
-                if last == count:
+                if block == count - 1:
                     os.write(took_last, b"!")
             elif len(forks) > forked and took_last in open_ends:
                 os.write(start, b"!")
                 open_ends.remove(took_last)
                 os.close(took_last)  # the read below then ends when the helper leaves
-                if last < count:  # else every other ticket is taken already
+                if block < count - 1:  # else every other ticket is taken already
                     os.read(taken, 1)
-            return work(first, last)
+            return work(block)
 
         try:
             return in_two(held_work, count)
@@ -1244,8 +1253,8 @@ class TestTwoCores:
     def test_each_block_once_in_order(self, forks, held):
         parent = os.getpid()
 
-        def work(first: int, last: int) -> list[tuple[int, int]]:
-            return [(os.getpid(), i) for i in range(first, last)]
+        def work(block: int) -> tuple[int, int]:
+            return os.getpid(), block
 
         result = tableio._in_two(work, 40)
         assert [i for _, i in result] == list(range(40))
@@ -1257,25 +1266,34 @@ class TestTwoCores:
         parent = os.getpid()
         converted = []
 
-        def work(first: int, last: int) -> list[tuple[int, int]]:
+        def work(block: int) -> tuple[int, int]:
             if os.getpid() != parent:
-                converted.append(first)
+                converted.append(block)
                 if len(converted) == 3:
                     os._exit(0)
-            return [(os.getpid(), i) for i in range(first, last)]
+            return os.getpid(), block
 
         one = _one_process(monkeypatch, lambda: tableio._in_two(work, 40))
         assert tableio._in_two(work, 40) == one == [(parent, i) for i in range(40)]
         assert len(forks) == 1
 
-    def test_over_1024_blocks_queued_as_runs(self, forks):
-        # One ticket per run of consecutive blocks: 1024 tickets of 4 bytes
-        # fill the one page a pipe is sure to hold, so queuing never blocks.
-        runs = tableio._in_two(lambda first, last: [(first, last)], 5000)
-        assert len(runs) == 1024
-        assert [first for first, _ in runs] == [0] + [last for _, last in runs[:-1]]
-        assert runs[-1][1] == 5000
-        assert len(forks) == 1
+    def test_at_most_1024_row_blocks(self, monkeypatch):
+        # One ticket per block: 1024 tickets of 4 bytes fill the one page a
+        # pipe is sure to hold, so queuing never blocks. Past 1024 blocks of
+        # _BLOCK characters, blocks grow; they still cover the text in order.
+        monkeypatch.setattr(tableio, "_BLOCK", 1)
+        text = "".join(f"r{i},{i}\n" for i in range(5000))
+        for start in (0, 7, len(text) - 9, len(text)):
+            spans = tableio._row_blocks(text, start)
+            assert len(spans) <= 1024 and text[start:] == "".join(text[a:b] for a, b in spans)
+            assert [a for a, _ in spans] == [start] + [b for _, b in spans[:-1]]
+        counts = []
+        monkeypatch.setattr(tableio, "_in_two", lambda work, count: counts.append(count)
+                            or [work(block) for block in range(count)])
+        table = IntervalMatrix([f"r{i}" for i in range(5000)], ["x"], np.zeros((5000, 1)),
+                               np.ones((5000, 1)))
+        assert parse_interval_csv(write_interval_csv(table)) == table
+        assert counts[0] == 1024 >= counts[1] > 512  # the write's blocks, then the parse's
 
     def test_early_error_stops_helper(self, forks, monkeypatch):
         # The first half is rejected: the helper is killed, not waited for.
@@ -1289,10 +1307,10 @@ class TestTwoCores:
     def test_error_in_this_process_reaps_helper(self, forks, held):
         parent = os.getpid()
 
-        def work(first: int, last: int) -> list[int]:
+        def work(block: int) -> int:
             if os.getpid() == parent:
                 raise ZeroDivisionError
-            return list(range(first, last))
+            return block
 
         with pytest.raises(ZeroDivisionError):
             tableio._in_two(work, 4)
@@ -1302,11 +1320,11 @@ class TestTwoCores:
         # The kernel reaps the helpers of a process that ignores SIGCHLD.
         parent = os.getpid()
 
-        def work(first: int, last: int) -> list[int] | None:
+        def work(block: int) -> int | None:
             if os.getpid() == parent:
                 time.sleep(0.5)  # the helper has exited, and is reaped, by now
                 return None
-            return []
+            return block
 
         expected = _CALLS["bracket"]()
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
