@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the argument checks the
 public entry points make with them: one for arrays, one for integers, one
-for column names."""
+for collections of names or labels."""
 
 from numbers import Integral
 
@@ -32,9 +32,9 @@ def _is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
-def _name_set(names, name: str) -> set:
-    """The column names in ``names``, refused when it is one string, whose
-    characters would otherwise be taken for the names."""
-    if isinstance(names, str):
-        raise DataError(f"{name} must be a collection of column names, not the string {names!r}")
-    return set(names)
+def _collection(value, name: str, what: str = "column names"):
+    """``value``, refused when it is one string, whose characters would
+    otherwise be taken for the names or labels."""
+    if isinstance(value, str):
+        raise DataError(f"{name} must be a collection of {what}, not the string {value!r}")
+    return value

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, _finite_array, _name_set
+from .errors import DataError, _collection, _finite_array
 
 __all__ = [
     "BoundsPair",
@@ -70,8 +70,13 @@ class BoundsPair:
         return self.low.shape
 
 
+def _labels(labels, name: str) -> tuple[str, ...]:
+    """The argument ``name``'s labels as strings; one string is refused."""
+    return tuple(str(label) for label in _collection(labels, name, "labels"))
+
+
 def _check_labels(labels, axis: str) -> tuple[str, ...]:
-    out = tuple(str(name) for name in labels)
+    out = tuple(labels)
     if len(set(out)) != len(out):
         seen: set[str] = set()
         dup = next(name for name in out if name in seen or seen.add(name))
@@ -93,8 +98,8 @@ class IntervalMatrix:
     hi: np.ndarray
 
     def __post_init__(self) -> None:
-        rows = _check_labels(self.rows, "row")
-        cols = _check_labels(self.cols, "column")
+        rows = _check_labels(_labels(self.rows, "rows"), "row")
+        cols = _check_labels(_labels(self.cols, "cols"), "column")
         if not cols:  # the CSV grammar has no way to write such a table
             raise DataError("an interval table needs at least one column")
         lo = _finite_array(self.lo, "interval grid", ndim=None)
@@ -136,7 +141,7 @@ class IntervalMatrix:
 
     def without_columns(self, names: Sequence[str]) -> "IntervalMatrix":
         """Drop the named columns; unknown names are an error."""
-        drop = _name_set(names, "names")
+        drop = set(_collection(names, "names"))
         unknown = drop - set(self.cols)
         if unknown:
             raise DataError(f"no column named {sorted(unknown)[0]!r}")
@@ -219,8 +224,8 @@ def interval_project(
     neg = np.minimum(w, 0.0)
     lo = bounds.low @ pos + bounds.high @ neg
     hi = bounds.high @ pos + bounds.low @ neg
-    row_labels = _default_labels("r", m) if rows is None else tuple(rows)
-    col_labels = _default_labels("c", w.shape[1]) if cols is None else tuple(cols)
+    row_labels = _default_labels("r", m) if rows is None else rows
+    col_labels = _default_labels("c", w.shape[1]) if cols is None else cols
     return IntervalMatrix(row_labels, col_labels, lo, hi)
 
 

@@ -27,8 +27,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import DataError, _finite_array, _name_set
-from .intervals import IntervalMatrix, _check_labels
+from .errors import DataError, _collection, _finite_array
+from .intervals import IntervalMatrix, _check_labels, _labels
 
 __all__ = [
     "ClassicTable",
@@ -86,9 +86,14 @@ def _in_two(work: Callable[[int], object], count: int) -> list | None:
     sends its blocks, by ticket, through a second pipe and leaves by
     ``os._exit``; one that meets a rejected block takes the tickets left and
     leaves at once. The thread check is ``threading.active_count()``, which
-    counts only threads that ``threading`` knows of: native threads, such
-    as the one OpenBLAS starts besides the main thread when numpy loads it
-    on two cores, do not count. Any block the helper does not deliver (it
+    counts only threads that ``threading`` knows of, not the worker thread
+    numpy's OpenBLAS runs besides the main thread on two cores. That one
+    does not make the fork unsafe: OpenBLAS's ``pthread_atfork`` handler
+    stops its thread pool before the fork, and the next BLAS call restarts
+    it, so this process has one thread as it forks (also by the OS count
+    that CPython 3.12+ reads to decide its fork DeprecationWarning); and the
+    helper calls only ``float()``, ``repr``, elementwise numpy and
+    ``pickle``, never BLAS. Any block the helper does not deliver (it
     failed, died, met a rejected block, or sent a short pickle, which does
     not load) is converted here, in order, so the outcome, values and first
     error alike, is that of one process. No helper outlives the call.
@@ -504,18 +509,22 @@ class ClassicTable:
     concept_labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        rows, cols = _labels(self.rows, "rows"), _labels(self.cols, "cols")
+        concept_labels = _labels(self.concept_labels, "concept_labels")
         values = _finite_array(self.values, "classic table", ndim=None)
-        expected = (len(self.rows), len(self.cols))
+        expected = (len(rows), len(cols))
         if values.shape != expected:
             raise DataError(
                 f"value grid shape {values.shape} does not match labels {expected}"
             )
-        if self.concept is not None and len(self.concept_labels) != len(self.rows):
+        if self.concept is None and concept_labels:
+            raise DataError("concept labels given without a concept column")
+        if self.concept is not None and len(concept_labels) != len(rows):
             raise DataError("concept labels must cover every row")
-        object.__setattr__(self, "rows", tuple(str(r) for r in self.rows))
-        object.__setattr__(self, "cols", tuple(str(c) for c in self.cols))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "concept_labels", tuple(self.concept_labels))
+        object.__setattr__(self, "concept_labels", concept_labels)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -531,12 +540,11 @@ def parse_classic_csv(
     may hold text; naming an unknown column, or the concept column, is a
     DataError.
     """
+    exclude = set(_collection(exclude, "exclude"))
     layout, (rows, labels, values) = _read_table(
-        text, partial(_classic_layout, concept=concept, exclude=_name_set(exclude, "exclude"))
+        text, partial(_classic_layout, concept=concept, exclude=exclude)
     )
-    return ClassicTable(
-        tuple(rows), layout.cols, values, concept=concept, concept_labels=tuple(labels)
-    )
+    return ClassicTable(rows, layout.cols, values, concept=concept, concept_labels=labels)
 
 
 def _classic_layout(

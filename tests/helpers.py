@@ -1,13 +1,19 @@
-"""Shared test utilities: golden reference values for the oils data set and
-sign-alignment helpers for comparing against published orientations."""
+"""Shared test utilities: golden reference values for the oils data set,
+sign-alignment helpers for comparing against published orientations, one
+check per invariant of the paper (containment, vertex enumeration, route
+agreement, the classical reference PCA), which the acceptance criteria run
+on oils and the corpus and the properties in test_pca.py on drawn tables,
+and the table of inputs at the numeric edges of standardization."""
 
 from __future__ import annotations
 
+import math
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from sympca import IntervalMatrix
+from sympca import IntervalMatrix, standardize, vertex_extremes
 
 # ---------------------------------------------------------------------------
 # Reference outputs for the bundled oils-and-fats table (PC1..PC4), quoted at
@@ -95,6 +101,71 @@ def interval_tables_close(
     return (
         np.abs(a.lo - b.lo).max() <= atol and np.abs(a.hi - b.hi).max() <= atol
     )
+
+
+# ---------------------------------------------------------------------------
+# The paper's invariants, one check each.
+# ---------------------------------------------------------------------------
+
+ARRAYS = ("eigenvalues", "loadings_u", "axes_v", "center_scores", "center_correlations",
+          "scores.lo", "scores.hi", "correlations.lo", "correlations.hi")
+
+
+def assert_contained(res) -> None:
+    """The classical (midpoint) scores and correlations lie inside their
+    intervals, with no slack."""
+    assert np.all(res.scores.lo <= res.center_scores)
+    assert np.all(res.center_scores <= res.scores.hi)
+    assert np.all(res.correlations.lo <= res.center_correlations)
+    assert np.all(res.center_correlations <= res.correlations.hi)
+
+
+def assert_vertex_extremes(table: IntervalMatrix, res) -> None:
+    """Each score and correlation interval of ``res`` is the range of its
+    hypercube's vertices (the rows of the standardized box times sqrt(m)
+    onto U, its columns onto V), within 1e-12·max(1, |oracle|)."""
+    box = standardize(table).bounds
+    root_m = math.sqrt(table.shape[0])
+    for low, high, weights, out in ((box.low * root_m, box.high * root_m, res.loadings_u,
+                                     res.scores),
+                                    (box.low.T, box.high.T, res.axes_v, res.correlations)):
+        for (i, k), lo in np.ndenumerate(out.lo):
+            oracle = vertex_extremes(low[i], high[i], weights[:, k])
+            scale = max(1.0, abs(oracle[0]), abs(oracle[1]))
+            assert abs(lo - oracle[0]) <= 1e-12 * scale, (out.cols[k], out.rows[i])
+            assert abs(out.hi[i, k] - oracle[1]) <= 1e-12 * scale, (out.cols[k], out.rows[i])
+
+
+def _magnitude(value) -> float:
+    """The largest |entry| of an array, or of both ends of an interval table."""
+    if isinstance(value, IntervalMatrix):
+        return max(_magnitude(value.lo), _magnitude(value.hi))
+    return float(np.abs(value).max())
+
+
+def route_differences(zzt, ztz, relative: bool = False) -> dict[str, float]:
+    """The largest difference between the two routes' values of each of
+    ARRAYS, or that over the largest magnitude of the array, both ends of an
+    interval table's (``relative``): one end alone can cancel to roundoff."""
+    out = {}
+    for name in ARRAYS:
+        difference = np.abs(attrgetter(name)(zzt) - attrgetter(name)(ztz)).max()
+        if relative:
+            whole = name.split(".")[0]
+            difference /= max(_magnitude(getattr(zzt, whole)), _magnitude(getattr(ztz, whole)))
+        out[name] = float(difference)
+    return out
+
+
+def classical_pca(mids: np.ndarray, q: int | None = None):
+    """Classical PCA of the standardized midpoints by LAPACK, the first q
+    components by descending eigenvalue: eigenvalues, scores and
+    correlations."""
+    xs = (mids - mids.mean(axis=0)) / mids.std(axis=0)
+    lam, u = np.linalg.eigh(xs.T @ xs / len(xs))
+    order = np.argsort(lam)[::-1][:q]
+    lam, u = lam[order], u[:, order]
+    return lam, xs @ u, u * np.sqrt(lam)
 
 
 # ---------------------------------------------------------------------------

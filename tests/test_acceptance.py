@@ -11,7 +11,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from helpers import (
     OILS_CENTER_CORR,
@@ -21,6 +20,10 @@ from helpers import (
     OILS_SCORES_LO,
     aligned_interval_error,
     aligned_matrix_error,
+    assert_contained,
+    assert_vertex_extremes,
+    classical_pca,
+    route_differences,
 )
 from sympca import (
     ClassicTable,
@@ -34,7 +37,6 @@ from sympca import (
     pca_ztz,
     pca_zzt,
     standardize,
-    vertex_extremes,
 )
 
 
@@ -79,60 +81,23 @@ def test_criterion_3_interval_scores_reproduced(oils):
 def test_criterion_4_containment(oils, corpus):
     with criterion(4, "center values inside intervals, zero violations"):
         for table in [oils, *corpus]:
-            result = pca_auto(table)
-            assert np.all(result.scores.lo <= result.center_scores)
-            assert np.all(result.center_scores <= result.scores.hi)
-            assert np.all(result.correlations.lo <= result.center_correlations)
-            assert np.all(result.center_correlations <= result.correlations.hi)
-
-
-def _assert_interval_matches_oracle(lo, hi, oracle: tuple[float, float]):
-    scale = max(1.0, abs(oracle[0]), abs(oracle[1]))
-    assert abs(lo - oracle[0]) <= 1e-12 * scale
-    assert abs(hi - oracle[1]) <= 1e-12 * scale
+            assert_contained(pca_auto(table))
 
 
 def test_criterion_5_vertex_oracle(oils, corpus):
     with criterion(5, "projection equals vertex enumeration, 1e-12 relative"):
         for table in [oils, *corpus]:
-            result = pca_auto(table)
-            bundle = standardize(table)
-            m, n = table.shape
-            q = result.eigenvalues.size
-            root_m = np.sqrt(m)
-            for i in range(m):
-                low = bundle.bounds.low[i] * root_m
-                high = bundle.bounds.high[i] * root_m
-                for k in range(q):
-                    oracle = vertex_extremes(low, high, result.loadings_u[:, k])
-                    _assert_interval_matches_oracle(
-                        result.scores.lo[i, k], result.scores.hi[i, k], oracle
-                    )
-            for j in range(n):
-                low, high = bundle.bounds.low[:, j], bundle.bounds.high[:, j]
-                for k in range(q):
-                    oracle = vertex_extremes(low, high, result.axes_v[:, k])
-                    _assert_interval_matches_oracle(
-                        result.correlations.lo[j, k],
-                        result.correlations.hi[j, k],
-                        oracle,
-                    )
+            assert_vertex_extremes(table, pca_auto(table))
 
 
 def test_criterion_6_duality_equivalence(oils, corpus):
     with criterion(6, "zzt and ztz paths agree, 1e-9, same orientation"):
         for table in [oils, *corpus]:
             a = pca_zzt(table)
-            b = pca_ztz(table)
-            lam_scale = max(1.0, a.eigenvalues[0])
-            assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-9 * lam_scale
-            for field in ("lo", "hi"):
-                assert np.abs(
-                    getattr(a.scores, field) - getattr(b.scores, field)
-                ).max() <= 1e-9
-                assert np.abs(
-                    getattr(a.correlations, field) - getattr(b.correlations, field)
-                ).max() <= 1e-9
+            diff = route_differences(a, pca_ztz(table))
+            assert diff["eigenvalues"] <= 1e-9 * max(1.0, a.eigenvalues[0])
+            for field in ("scores.lo", "scores.hi", "correlations.lo", "correlations.hi"):
+                assert diff[field] <= 1e-9, field
 
 
 def test_criterion_7_eigen_invariants(oils, corpus):
@@ -156,20 +121,12 @@ def test_criterion_7_eigen_invariants(oils, corpus):
 def test_criterion_8_degenerate_reduction(oils):
     with criterion(8, "midpoint-collapsed input equals classical PCA, 1e-10"):
         mids = centers_matrix(oils)
-        table = IntervalMatrix(oils.rows, oils.cols, mids, mids)
-        result = pca_auto(table)
+        result = pca_auto(IntervalMatrix(oils.rows, oils.cols, mids, mids))
         assert np.array_equal(result.scores.lo, result.scores.hi)
         assert np.array_equal(result.correlations.lo, result.correlations.hi)
-        # independent classical reference: LAPACK on the standardized midpoints
-        xs = (mids - mids.mean(axis=0)) / mids.std(axis=0)
-        lam, u = np.linalg.eigh(xs.T @ xs / len(xs))
-        order = np.argsort(lam)[::-1]
-        lam = lam[order]
-        u = u[:, order]
-        classical_scores = xs @ u
-        classical_corr = u * np.sqrt(lam)
-        assert aligned_matrix_error(result.scores.lo, classical_scores) <= 1e-10
-        assert aligned_matrix_error(result.correlations.lo, classical_corr) <= 1e-10
+        _, scores, correlations = classical_pca(mids)
+        assert aligned_matrix_error(result.scores.lo, scores) <= 1e-10
+        assert aligned_matrix_error(result.correlations.lo, correlations) <= 1e-10
 
 
 def test_criterion_9_aggregation_shape():

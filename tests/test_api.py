@@ -199,8 +199,27 @@ def test_entry_point_refuses_bad_argument(good, call, kind):
         call(_spoiled(good, kind))
 
 
-def test_one_string_is_not_column_names(oils):
+_GRID = np.zeros((2, 1))
+_PAIR = sympca.BoundsPair(np.zeros((2, 1)), np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda oils: oils.without_columns("GRA"),
+     "names must be a collection of column names, not the string 'GRA'"),
+    (lambda oils: sympca.IntervalMatrix("ab", ("x",), _GRID, _GRID),
+     "rows must be a collection of labels, not the string 'ab'"),
+    (lambda oils: sympca.IntervalMatrix(("a", "b"), "x", _GRID, _GRID),
+     "cols must be a collection of labels, not the string 'x'"),
+    (lambda oils: sympca.interval_project(_PAIR, np.ones((1, 1)), rows="ab"),
+     "rows must be a collection of labels, not the string 'ab'"),
+    (lambda oils: sympca.interval_project(_PAIR, np.ones((1, 1)), cols="k"),
+     "cols must be a collection of labels, not the string 'k'"),
+], ids=["without_columns-names", "IntervalMatrix-rows", "IntervalMatrix-cols",
+        "interval_project-rows", "interval_project-cols"])
+def test_one_string_is_not_column_names(oils, call, message):
     # Its characters would otherwise be taken for the names ('G', 'R', 'A').
+    # ClassicTable's label arguments are rows of TestClassicTable in
+    # test_tableio.py, parse_classic_csv's exclude a parse case there.
     with pytest.raises(sympca.DataError) as info:
-        oils.without_columns("GRA")
-    assert str(info.value) == "names must be a collection of column names, not the string 'GRA'"
+        call(oils)
+    assert str(info.value) == message

@@ -242,11 +242,29 @@ class TestClassicTable:
         ([[1.0, 2.0]], None, "value grid shape (1, 2) does not match labels (1, 1)"),
         ([[np.inf]], None, "classic table contains non-finite entries"),
         ([[1.0]], "s", "concept labels must cover every row"),
+        pytest.param([[1.0]], {"rows": "r"}, "rows must be a collection of labels, not the "
+                     "string 'r'", id="rows-string"),
+        pytest.param([[1.0]], {"cols": "x"}, "cols must be a collection of labels, not the "
+                     "string 'x'", id="cols-string"),
+        pytest.param([[1.0]], {"concept": "s", "concept_labels": "a"}, "concept_labels must be "
+                     "a collection of labels, not the string 'a'", id="concept_labels-string"),
+        pytest.param([[1.0]], {"concept_labels": ("a",)},
+                     "concept labels given without a concept column", id="labels-no-concept"),
     ])
     def test_direct_construction_checked(self, values, concept, message):
+        # concept is the concept column's name, or the arguments replacing these.
+        given = {"rows": ("r",), "cols": ("x",), "values": values, "concept": None}
+        given.update(concept if isinstance(concept, dict) else {"concept": concept})
         with pytest.raises(DataError) as info:
-            ClassicTable(("r",), ("x",), values, concept=concept)
+            ClassicTable(**given)
         assert str(info.value) == message
+
+    def test_labels_are_strings(self):
+        # A concept label 1 and a '1' are one concept, as row labels are.
+        t = ClassicTable((1, "2"), (3,), [[1.0], [2.0]], concept="s", concept_labels=(1, "1"))
+        assert (t.rows, t.cols, t.concept_labels) == (("1", "2"), ("3",), ("1", "1"))
+        out = aggregate_classic(t, "s")
+        assert out.rows == ("1",) and (out.lo[0, 0], out.hi[0, 0]) == (1.0, 2.0)
 
 
 def _aggregate_by_loop(table):
@@ -1005,16 +1023,36 @@ def _traced_peak(parse) -> int:
         tracemalloc.stop()
 
 
+_PROC_STAT = os.path.exists("/proc/self/stat")
+
+
+def _os_threads() -> int:
+    """This process's OS thread count, field 20 of /proc/self/stat."""
+    with open("/proc/self/stat") as stat:
+        return int(stat.read().rsplit(")", 1)[1].split()[17])
+
+
+class _Pids(list):
+    """Helper pids, and in ``threads`` this process's OS thread count read
+    right after each fork, where /proc/self/stat exists."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.threads: list[int] = []
+
+
 @pytest.fixture
-def forks(monkeypatch) -> Iterator[list[int]]:
+def forks(monkeypatch) -> Iterator[_Pids]:
     """The pids of the helpers that ``tableio`` forks during a test, on two
     usable CPUs; afterwards no child of this process is left."""
-    pids: list[int] = []
+    pids = _Pids()
 
     def fork() -> int:
         pid = os.fork()
         if pid:
             pids.append(pid)
+            if _PROC_STAT:
+                pids.threads.append(_os_threads())
         return pid
 
     monkeypatch.setattr(tableio, "_fork", fork)
@@ -1334,6 +1372,17 @@ class TestTwoCores:
         finally:
             signal.signal(signal.SIGCHLD, previous)
         assert len(forks) == 3
+
+    @pytest.mark.skipif(not _PROC_STAT, reason="needs /proc/self/stat")
+    def test_one_thread_at_fork(self, forks):
+        # A product this size starts OpenBLAS's worker thread on two cores;
+        # its pthread_atfork handler stops it before the fork, so CPython
+        # 3.12+, which counts this process's OS threads right after os.fork,
+        # sees one and does not warn.
+        square = np.ones((256, 256))
+        assert (square @ square)[0, 0] == 256.0
+        _CALLS["bracket"]()
+        assert forks.threads == [1]
 
     def test_no_fork(self, forks, monkeypatch):
         expected = _CALLS["classic"]()
